@@ -79,8 +79,11 @@ pub struct RaceInfo {
     pub addr: u64,
     pub kind: AccessKind,
     pub loc: SrcLoc,
-    /// State the granule was in before this access.
-    pub prev_state: String,
+    /// State the granule was in before this access. Rendered with
+    /// [`VarState::describe`] against the engine's lock-set table only when
+    /// a report is built: interned sets are never removed or rewritten, so
+    /// the text is the same whenever it is rendered.
+    pub prev_state: VarState,
     /// The previous access to this granule (Helgrind 3.x prints "this
     /// conflicts with a previous access" — so do we).
     pub prev_access: Option<(ThreadId, AccessKind, SrcLoc)>,
@@ -412,7 +415,7 @@ impl LocksetEngine {
                         addr: if g <= addr { addr } else { g },
                         kind,
                         loc,
-                        prev_state: prev.state.describe(&self.table),
+                        prev_state: prev.state,
                         prev_access: prev.last,
                     });
                 }
@@ -630,7 +633,48 @@ mod tests {
         e.on_event(&acc(T1, 0x4100, AccessKind::Read));
         let race = e.on_event(&acc(T2, 0x4100, AccessKind::Write));
         assert!(race.is_some());
-        assert!(race.unwrap().prev_state.contains("shared RO"));
+        assert!(matches!(race.unwrap().prev_state, VarState::SharedRead { .. }));
+    }
+
+    #[test]
+    fn prev_state_renders_the_same_at_report_time() {
+        // T1 and T2 share lock 0 on the granule, then T1 writes under
+        // {1, 2} only: the race's previous state names {lock#0}.
+        let mut e = LocksetEngine::new(DetectorConfig::hwlc_dr());
+        e.on_event(&create(T0, T1));
+        e.on_event(&create(T0, T2));
+        for &t in &[T1, T2] {
+            e.on_event(&lock(t, 0));
+            e.on_event(&acc(t, 0x4200, AccessKind::Write));
+            e.on_event(&unlock(t, 0));
+        }
+        e.on_event(&lock(T1, 1));
+        e.on_event(&lock(T1, 2));
+        let race = e.on_event(&acc(T1, 0x4200, AccessKind::Write)).unwrap();
+        let at_race = race.prev_state.describe(&e.table);
+        assert_eq!(at_race, "shared modified, locks held: {lock#0}");
+        // Intern many more sets; the handle still renders the same text.
+        let before = e.table.distinct_sets();
+        for s in 3..40 {
+            e.on_event(&lock(T2, s));
+        }
+        assert!(e.table.distinct_sets() > before + 30);
+        assert_eq!(race.prev_state.describe(&e.table), at_race);
+
+        let race = {
+            let mut e = LocksetEngine::new(DetectorConfig::hwlc_dr());
+            e.on_event(&create(T0, T1));
+            e.on_event(&create(T0, T2));
+            e.on_event(&acc(T0, 0x4300, AccessKind::Write));
+            e.on_event(&acc(T1, 0x4300, AccessKind::Read));
+            let race = e.on_event(&acc(T2, 0x4300, AccessKind::Write)).unwrap();
+            let at_race = race.prev_state.describe(&e.table);
+            e.on_event(&lock(T1, 9));
+            e.on_event(&lock(T1, 8));
+            assert_eq!(race.prev_state.describe(&e.table), at_race);
+            at_race
+        };
+        assert_eq!(race, "shared RO, locks held: {BUSLOCK}");
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! * `LOCK`-prefixed RMW as atomic acquire/release on its own address (if
 //!   `cfg.atomic_sync`), the way modern detectors treat `std::atomic`.
 
+use std::fmt;
+
 use crate::config::DetectorConfig;
 use crate::shadowmem::PageTable;
 use crate::vc::{Epoch, SmallVc, VectorClock};
@@ -101,8 +103,33 @@ pub struct HbRaceInfo {
     pub addr: u64,
     pub kind: AccessKind,
     pub loc: SrcLoc,
-    /// What the access conflicted with ("unordered prior write by thread 2").
-    pub conflict: String,
+    /// What the access conflicted with; its `Display` is the report text
+    /// ("unordered prior write by thread 2 (epoch 3)").
+    pub conflict: HbConflict,
+}
+
+/// The prior access(es) an unordered access conflicted with. Kept typed
+/// on the hot path and rendered only when a report is emitted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HbConflict {
+    /// The granule's last write is not visible to the accessing thread.
+    PriorWrite(Epoch),
+    /// A write after a single unordered read by thread `tid`.
+    PriorRead { tid: u32 },
+    /// A write after several concurrent reads (a read-share clock).
+    PriorReads,
+}
+
+impl fmt::Display for HbConflict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            HbConflict::PriorWrite(w) => {
+                write!(f, "unordered prior write by thread {} (epoch {})", w.tid, w.clock)
+            }
+            HbConflict::PriorRead { tid } => write!(f, "unordered prior read by thread {tid}"),
+            HbConflict::PriorReads => f.write_str("unordered prior reads"),
+        }
+    }
 }
 
 /// The happens-before engine.
@@ -356,14 +383,13 @@ impl HbEngine {
                 continue;
             }
 
-            let mut conflict: Option<String> = None;
+            let mut conflict: Option<HbConflict> = None;
             // Write-X conflict: the previous write must be visible.
             // `Epoch::ZERO` (never written) is visible to every clock, so
             // the virgin case needs no separate branch.
             let w = var.last_write;
             if !w.visible_to(tvc) {
-                conflict =
-                    Some(format!("unordered prior write by thread {} (epoch {})", w.tid, w.clock));
+                conflict = Some(HbConflict::PriorWrite(w));
             }
             // Read-write conflict: a write must also see all prior reads.
             if is_write && conflict.is_none() {
@@ -371,13 +397,13 @@ impl HbEngine {
                     ReadState::None => {}
                     ReadState::Single(e) => {
                         if !e.visible_to(tvc) {
-                            conflict = Some(format!("unordered prior read by thread {}", e.tid));
+                            conflict = Some(HbConflict::PriorRead { tid: e.tid });
                         }
                     }
                     ReadState::Shared(svc) => {
                         fallbacks += 1;
                         if !svc.leq(tvc) {
-                            conflict = Some("unordered prior reads".to_string());
+                            conflict = Some(HbConflict::PriorReads);
                         }
                     }
                     ReadState::Ref(r) => {
@@ -388,9 +414,9 @@ impl HbEngine {
                             // verdicts agree by visibility transitivity;
                             // after a break it would be `Shared`.
                             conflict = Some(if r.chain {
-                                format!("unordered prior read by thread {}", r.last.tid)
+                                HbConflict::PriorRead { tid: r.last.tid }
                             } else {
-                                "unordered prior reads".to_string()
+                                HbConflict::PriorReads
                             });
                         }
                     }
@@ -563,7 +589,7 @@ mod tests {
         assert!(e.on_event(&acc(T1, 0x1000, AccessKind::Write)).is_none());
         let race = e.on_event(&acc(T2, 0x1000, AccessKind::Write));
         assert!(race.is_some());
-        assert!(race.unwrap().conflict.contains("write by thread 1"));
+        assert!(race.unwrap().conflict.to_string().contains("write by thread 1"));
     }
 
     #[test]
@@ -608,7 +634,7 @@ mod tests {
         assert!(e.on_event(&acc(T1, 0x4000, AccessKind::Read)).is_none());
         let race = e.on_event(&acc(T2, 0x4000, AccessKind::Write));
         assert!(race.is_some());
-        assert!(race.unwrap().conflict.contains("read"));
+        assert!(race.unwrap().conflict.to_string().contains("read"));
     }
 
     #[test]
@@ -781,6 +807,33 @@ mod tests {
             acc(T2, 0x7000, AccessKind::Write),
             acc(T2, 0x7000, AccessKind::Read),
         ]);
+    }
+
+    #[test]
+    fn conflict_display_matches_the_legacy_strings() {
+        // Report bytes (and every golden) depend on these exact texts.
+        let w = HbConflict::PriorWrite(Epoch { tid: 2, clock: 7 });
+        assert_eq!(w.to_string(), "unordered prior write by thread 2 (epoch 7)");
+        let r = HbConflict::PriorRead { tid: 3 };
+        assert_eq!(r.to_string(), "unordered prior read by thread 3");
+        assert_eq!(HbConflict::PriorReads.to_string(), "unordered prior reads");
+    }
+
+    #[test]
+    fn engine_yields_each_conflict_variant() {
+        let mut e = HbEngine::new(DetectorConfig::djit());
+        e.on_event(&create(T0, T1));
+        e.on_event(&create(T0, T2));
+        e.on_event(&acc(T1, 0xB000, AccessKind::Write));
+        let c = e.on_event(&acc(T2, 0xB000, AccessKind::Write)).unwrap().conflict;
+        assert_eq!(c, HbConflict::PriorWrite(Epoch { tid: 1, clock: 1 }));
+        e.on_event(&acc(T1, 0xB100, AccessKind::Read));
+        let c = e.on_event(&acc(T2, 0xB100, AccessKind::Write)).unwrap().conflict;
+        assert_eq!(c, HbConflict::PriorRead { tid: 1 });
+        e.on_event(&acc(T1, 0xB200, AccessKind::Read));
+        e.on_event(&acc(T2, 0xB200, AccessKind::Read));
+        let c = e.on_event(&acc(T0, 0xB200, AccessKind::Write)).unwrap().conflict;
+        assert_eq!(c, HbConflict::PriorReads);
     }
 
     #[test]

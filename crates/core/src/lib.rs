@@ -49,7 +49,7 @@ pub use explore::{
     explore_schedules, explore_schedules_directed, explore_schedules_with, trim_torn_tail,
     DirectedTarget, ExploreCheckpoint, ExploreLimits, ExploreSummary, LocationHit,
 };
-pub use hb::{EpochStats, HbEngine, HbRaceInfo};
+pub use hb::{EpochStats, HbConflict, HbEngine, HbRaceInfo};
 pub use lockorder::{CycleInfo, LockOrderGraph};
 pub use locksets::{LockId, LockSetId, LockSetTable};
 pub use offline::{analyze_trace, OfflineAnalysis};

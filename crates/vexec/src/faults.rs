@@ -256,6 +256,14 @@ impl FaultInjector {
         fire
     }
 
+    /// True while a pre-slot channel (spurious wakeup, thread kill) can
+    /// still fire. Otherwise consulting them draws nothing, so the VM
+    /// skips its pre-slot hook without changing any run.
+    pub fn pre_slot_armed(&self) -> bool {
+        self.plan.wakeup_permille > 0
+            || (self.plan.kill_permille > 0 && self.stats.kills < u64::from(self.plan.max_kills))
+    }
+
     /// Deterministic pick among `n` candidates (e.g. which waiter wakes).
     pub fn pick(&mut self, n: usize) -> usize {
         self.rng.pick(n as u64) as usize

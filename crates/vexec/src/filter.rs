@@ -136,6 +136,9 @@ pub struct FilterCache {
     thread_epochs: Vec<u64>,
     global_epoch: u64,
     granule: u64,
+    /// `log2(granule)`: slot indexing shifts instead of dividing by the
+    /// runtime granule on every access.
+    shift: u32,
     pub stats: FilterStats,
 }
 
@@ -156,31 +159,42 @@ impl FilterCache {
             thread_epochs: Vec::new(),
             global_epoch: 1,
             granule,
+            shift: granule.trailing_zeros(),
             stats: FilterStats::default(),
         }
     }
 
+    /// Granule-aligned address → slot. The granule is a power of two
+    /// (asserted in [`Self::new`]), so the shift is an exact division.
     #[inline]
     fn slot_index(&self, granule: u64) -> usize {
-        let g = granule / self.granule;
+        let g = granule >> self.shift;
         (g ^ (g >> 9)) as usize & (FILTER_SLOTS - 1)
     }
 
     #[inline]
     fn thread_epoch(&mut self, tid: ThreadId) -> u64 {
-        let i = tid.index();
-        if i >= self.thread_epochs.len() {
-            self.thread_epochs.resize(i + 1, 1);
+        match self.thread_epochs.get(tid.index()) {
+            Some(&e) => e,
+            None => *self.grow_thread_epochs(tid.index()),
         }
-        self.thread_epochs[i]
+    }
+
+    /// First sight of thread `i`: extend the epoch table (new threads
+    /// start at epoch 1).
+    #[cold]
+    #[inline(never)]
+    fn grow_thread_epochs(&mut self, i: usize) -> &mut u64 {
+        self.thread_epochs.resize(i + 1, 1);
+        &mut self.thread_epochs[i]
     }
 
     fn bump_thread(&mut self, tid: ThreadId) {
         let i = tid.index();
-        if i >= self.thread_epochs.len() {
-            self.thread_epochs.resize(i + 1, 1);
+        match self.thread_epochs.get_mut(i) {
+            Some(e) => *e += 1,
+            None => *self.grow_thread_epochs(i) += 1,
         }
-        self.thread_epochs[i] += 1;
         self.stats.thread_epoch_bumps += 1;
     }
 
@@ -464,6 +478,33 @@ mod tests {
         assert!(f.filter(&read(1, a, 5)));
         assert!(!f.filter(&read(1, b, 5)));
         assert!(!f.filter(&read(1, a, 5)), "evicted by collision, must re-miss");
+    }
+
+    #[test]
+    fn shift_indexing_equals_division() {
+        for k in 0..=12 {
+            let granule = 1u64 << k;
+            let f = FilterCache::new(granule);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for i in 0..2000u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                // Small, page-sized and high addresses, all granule-aligned.
+                for addr in [i * granule, x & !(granule - 1), (x >> 20) & !(granule - 1)] {
+                    let g = addr / granule;
+                    let by_division = (g ^ (g >> 9)) as usize & (FILTER_SLOTS - 1);
+                    assert_eq!(f.slot_index(addr), by_division, "granule {granule} addr {addr:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn late_threads_start_at_epoch_one() {
+        let mut f = FilterCache::default();
+        assert_eq!(f.thread_epoch(ThreadId(5)), 1);
+        f.bump_thread(ThreadId(9));
+        assert_eq!(f.thread_epoch(ThreadId(9)), 2);
+        assert_eq!(f.thread_epoch(ThreadId(7)), 1);
     }
 
     #[test]

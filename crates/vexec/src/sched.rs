@@ -33,12 +33,26 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Uniform pick in `0..n` (`n == 0` yields 0).
+    /// Uniform pick in `0..n` (`n == 0` yields 0 without a draw). Equal
+    /// to `next_u64() % n`; the small counts the schedulers and fault
+    /// picks see (runnable threads, waiters) divide by a constant, which
+    /// compiles to a multiply instead of a 64-bit division.
+    #[inline]
     pub fn pick(&mut self, n: u64) -> u64 {
         if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
+            return 0;
+        }
+        let x = self.next_u64();
+        match n {
+            1 => 0,
+            2 => x % 2,
+            3 => x % 3,
+            4 => x % 4,
+            5 => x % 5,
+            6 => x % 6,
+            7 => x % 7,
+            8 => x % 8,
+            _ => x % n,
         }
     }
 
@@ -281,6 +295,28 @@ mod tests {
 
     fn tids(ids: &[u32]) -> Vec<ThreadId> {
         ids.iter().map(|&i| ThreadId(i)).collect()
+    }
+
+    #[test]
+    fn pick_equals_modulo_of_the_next_draw() {
+        for seed in [0u64, 1, 0xC0FFEE, u64::MAX] {
+            let mut fast = SplitMix64::new(seed);
+            let mut slow = SplitMix64::new(seed);
+            for round in 0..50 {
+                for n in 0..=64u64 {
+                    if n == 0 {
+                        // No draw is consumed: the streams stay aligned.
+                        assert_eq!(fast.pick(0), 0);
+                        continue;
+                    }
+                    assert_eq!(
+                        fast.pick(n),
+                        slow.next_u64() % n,
+                        "seed {seed} n {n} round {round}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -294,6 +294,15 @@ enum ThreadState {
     Exited,
 }
 
+/// What the pre-slot fault hook did to the thread states.
+enum PreSlot {
+    Untouched,
+    /// A condvar waiter became runnable.
+    Woke,
+    /// The scheduled thread was killed; its slot is consumed.
+    Killed,
+}
+
 #[derive(Clone, Debug)]
 struct Thread {
     frames: Vec<Frame>,
@@ -497,6 +506,10 @@ impl<'p> Vm<'p> {
         // which is what every equivalence suite runs under).
         let mut any_alive = false;
         let mut sched_dirty = true;
+        // The pre-slot hook runs only while one of its channels can fire;
+        // an attached plan with both off (soak's kill-free phases, or a
+        // kill cap already reached) costs nothing per slot.
+        let mut pre_slot_armed = self.pre_slot_armed();
         let termination = loop {
             if sched_dirty {
                 runnable.clear();
@@ -548,15 +561,19 @@ impl<'p> Vm<'p> {
             if let Some(m) = &self.opts.slot_meter {
                 m.add(1);
             }
-            if self.injector.is_some() {
-                // Pre-slot injection can kill the scheduled thread or wake
-                // a condvar waiter; don't try to track which.
-                sched_dirty = true;
-                if self.inject_pre_slot(tid) {
-                    // The scheduled thread died abruptly: the slot is
-                    // consumed.
-                    self.drain(tool, &mut scratch);
-                    continue;
+            if pre_slot_armed {
+                match self.inject_pre_slot(tid) {
+                    PreSlot::Untouched => {}
+                    // A condvar waiter woke: the runnable set changed.
+                    PreSlot::Woke => sched_dirty = true,
+                    PreSlot::Killed => {
+                        // The scheduled thread died abruptly: the slot is
+                        // consumed, and the kill may have used up the cap.
+                        sched_dirty = true;
+                        pre_slot_armed = self.pre_slot_armed();
+                        self.drain(tool, &mut scratch);
+                        continue;
+                    }
                 }
             }
             let slot = if use_compiled {
@@ -595,44 +612,50 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Consult the fault injector before running `tid`'s slot. Returns true
-    /// if the slot was consumed (the scheduled thread was killed).
-    fn inject_pre_slot(&mut self, tid: ThreadId) -> bool {
-        let Some(mut inj) = self.injector.take() else { return false };
-        if inj.plan().wakeup_permille > 0 {
-            self.inject_spurious_wakeup(&mut inj);
+    /// True while the injector's pre-slot channels can fire. When false,
+    /// [`Self::inject_pre_slot`] would draw nothing and change nothing.
+    fn pre_slot_armed(&self) -> bool {
+        self.injector.as_ref().is_some_and(FaultInjector::pre_slot_armed)
+    }
+
+    /// Consult the fault injector before running `tid`'s slot. Out of
+    /// line so the injector-free dispatch loop keeps its shape.
+    #[inline(never)]
+    fn inject_pre_slot(&mut self, tid: ThreadId) -> PreSlot {
+        let Some(mut inj) = self.injector.take() else { return PreSlot::Untouched };
+        let mut out = PreSlot::Untouched;
+        if inj.plan().wakeup_permille > 0 && self.inject_spurious_wakeup(&mut inj) {
+            out = PreSlot::Woke;
         }
-        let mut consumed = false;
         if tid != ThreadId::MAIN && inj.should_kill() {
             self.kill_thread(tid, &mut inj);
-            consumed = true;
+            out = PreSlot::Killed;
         }
         self.injector = Some(inj);
-        consumed
+        out
     }
 
     /// Wake one condvar waiter without a signal (POSIX-legal spurious
     /// wakeup). The waiter re-runs its `CondWait` in phase 2 — re-acquiring
-    /// the mutex and reporting itself as its own signaler.
-    fn inject_spurious_wakeup(&mut self, inj: &mut FaultInjector) {
-        let waiters: Vec<(ThreadId, SyncId)> = self
-            .threads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| match t.state {
+    /// the mutex and reporting itself as its own signaler. Draws only when
+    /// a waiter exists; returns true if one woke.
+    fn inject_spurious_wakeup(&mut self, inj: &mut FaultInjector) -> bool {
+        let waiters = || {
+            self.threads.iter().enumerate().filter_map(|(i, t)| match t.state {
                 ThreadState::Blocked(BlockOn::Cond(c)) => Some((ThreadId(i as u32), c)),
                 _ => None,
             })
-            .collect();
-        if waiters.is_empty() || !inj.should_spurious_wakeup() {
-            return;
+        };
+        let n = waiters().count();
+        if n == 0 || !inj.should_spurious_wakeup() {
+            return false;
         }
-        let (w, cv) = waiters[inj.pick(waiters.len())];
-        if let Ok(m) = self.cond_wait_mutex_of(w) {
-            self.syncs[cv.index()].cond_unpark(w);
-            self.threads[w.index()].cond_resume = Some((cv, m, w));
-            self.threads[w.index()].state = ThreadState::Runnable;
-        }
+        let (w, cv) = waiters().nth(inj.pick(n)).expect("pick is below the waiter count");
+        let Ok(m) = self.cond_wait_mutex_of(w) else { return false };
+        self.syncs[cv.index()].cond_unpark(w);
+        self.threads[w.index()].cond_resume = Some((cv, m, w));
+        self.threads[w.index()].state = ThreadState::Runnable;
+        true
     }
 
     /// Abrupt thread death: frames vanish, held locks stay held, heap
