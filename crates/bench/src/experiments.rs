@@ -437,40 +437,49 @@ pub struct OfflineResult {
     pub analyze_ms: f64,
 }
 
-/// Record a full T3 execution trace, analyse it post mortem, and compare
-/// the verdict with on-the-fly analysis — plus the log-volume cost the
-/// paper warns about ("offline techniques suffer from their need for
-/// large amount of data").
+/// Record a full T3 execution trace to `.rltrace` bytes, replay it post
+/// mortem through the same detector, and compare the verdict with
+/// on-the-fly analysis — plus the log-volume cost the paper warns about
+/// ("offline techniques suffer from their need for large amount of data").
 pub fn e13_offline() -> OfflineResult {
-    use helgrind_core::offline::analyze_trace;
-    use vexec::trace::TraceWriter;
+    use helgrind_core::replay::{analyze_trace_bytes, ReplayDetector};
+    use helgrind_core::SuppressionSet;
+    use raceline_trace::TraceWriter;
 
     let tc = &sipsim::testcases()[2]; // T3
     let built = tc.build();
+    let cfg = DetectorConfig::original();
 
     // On-the-fly.
-    let (online_locations, _) =
-        eraser_locations(&built.program, DetectorConfig::original(), &mut RoundRobin::new());
+    let (online_locations, _) = eraser_locations(&built.program, cfg, &mut RoundRobin::new());
 
     // Record.
     let t0 = Instant::now();
-    let mut writer = TraceWriter::new();
+    let mut trace = Vec::new();
+    let mut writer = TraceWriter::new(&mut trace);
     let r = run_program(&built.program, &mut writer, &mut RoundRobin::new());
     assert!(r.termination.is_clean());
+    let summary =
+        writer.finish(&r.termination, &r.stats, r.faults.as_ref()).expect("in-memory trace");
     let record_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let trace = writer.finish();
 
     // Analyse post mortem.
     let t1 = Instant::now();
-    let offline = analyze_trace(&trace, DetectorConfig::original(), false).unwrap();
+    let detector = ReplayDetector::by_name("original", cfg, SuppressionSet::new());
+    let offline = analyze_trace_bytes(&trace, detector, 1, 0).expect("replay of a fresh trace");
     let analyze_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let offline_locations = offline
+        .reports
+        .iter()
+        .filter(|r| matches!(r.kind, ReportKind::RaceRead | ReportKind::RaceWrite))
+        .count();
 
     OfflineResult {
-        events: trace.event_count(),
-        trace_bytes: trace.bytes_len(),
-        bytes_per_event: trace.bytes_per_event(),
+        events: summary.events,
+        trace_bytes: trace.len(),
+        bytes_per_event: trace.len() as f64 / summary.events.max(1) as f64,
         online_locations,
-        offline_locations: offline.race_location_count(),
+        offline_locations,
         record_ms,
         analyze_ms,
     }

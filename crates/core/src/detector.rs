@@ -377,10 +377,10 @@ impl Tool for HybridDetector {
 
 /// A name-dispatched live detector: any of the three engines behind one
 /// concrete [`Tool`], for drivers that pick the engine at runtime (the
-/// soak loop, benches) without monomorphizing every call site. The
-/// offline twin is [`crate::replay::ReplayDetector`]; the name → engine
-/// mapping here matches the CLI's (`djit` → HB, `hybrid*` → hybrid,
-/// everything else → lockset with suppressions applied in the sink).
+/// soak loop, benches, trace replay) without monomorphizing every call
+/// site. The name → engine mapping matches the CLI's (`djit` → HB,
+/// `hybrid*` → hybrid, everything else → lockset with suppressions
+/// applied in the sink).
 #[allow(clippy::large_enum_variant)] // one detector per phase, never collections of them
 pub enum AnyDetector {
     Eraser(EraserDetector),
@@ -394,6 +394,24 @@ impl AnyDetector {
             "djit" => AnyDetector::Djit(DjitDetector::new(cfg)),
             "hybrid" | "hybrid-queue" => AnyDetector::Hybrid(HybridDetector::new(cfg)),
             _ => AnyDetector::Eraser(EraserDetector::with_suppressions(cfg, supp)),
+        }
+    }
+
+    /// Dispatch one event against an explicit report context: the replay
+    /// path, where no live VM exists.
+    pub(crate) fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
+        match self {
+            AnyDetector::Eraser(d) => d.handle_event(ev, ctx),
+            AnyDetector::Djit(d) => d.handle_event(ev, ctx),
+            AnyDetector::Hybrid(d) => d.handle_event(ev, ctx),
+        }
+    }
+
+    pub(crate) fn handle_finish(&mut self) {
+        match self {
+            AnyDetector::Eraser(d) => d.handle_finish(),
+            AnyDetector::Djit(d) => d.handle_finish(),
+            AnyDetector::Hybrid(d) => d.handle_finish(),
         }
     }
 

@@ -9,12 +9,12 @@
 //! shows which warnings are schedule-robust and which only surface
 //! sometimes.
 
+use crate::commitlog::{self, esc, unesc, Framing};
 use crate::config::DetectorConfig;
 use crate::detector::EraserDetector;
-use crate::report::{Report, ReportKind, StackFrame};
+use crate::report::{Report, StackFrame};
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vexec::event::{Event, ThreadId};
 use vexec::faults::FaultPlan;
@@ -371,9 +371,9 @@ fn fold_outcome(
 ///
 /// ## Deterministic parallel merge
 ///
-/// With `limits.jobs > 1` the seeds run on a scoped pool of plain std
-/// threads, and the result is still **bit-identical** to the sequential
-/// sweep. The protocol:
+/// With `limits.jobs > 1` the seeds run on the [`crate::par`] pool, and
+/// the result is still **bit-identical** to the sequential sweep. The
+/// protocol:
 ///
 /// 1. Workers claim seed indices in increasing order from a shared
 ///    atomic counter, so the claimed set is always a contiguous prefix.
@@ -451,79 +451,25 @@ fn explore_impl(
         faults: limits.faults,
         ..Default::default()
     };
-    let jobs = limits.jobs.max(1).min(runs.saturating_sub(start).max(1));
-    if jobs == 1 {
-        for i in start..runs {
-            if let Some(budget) = limits.total_slot_budget {
-                if summary.slots_used >= budget {
-                    summary.timed_out = true;
-                    break;
-                }
+    // The meter is credited live by every VM, in-flight runs included, so
+    // the pool stops claiming seeds the moment the shared budget is spent.
+    let budget = limits.total_slot_budget;
+    let meter = budget.map(|_| Arc::new(SlotMeter::new(summary.slots_used)));
+    let opts = VmOptions { slot_meter: meter.clone(), ..opts };
+    let spent = || matches!((budget, &meter), (Some(b), Some(m)) if m.total() >= b);
+    let outcomes = crate::par::map_until(limits.jobs, runs - start, spent, |k| {
+        run_index(&prepared, cfg, base_seed, start + k, &opts, limits.no_filter, probes)
+    });
+    for (k, o) in outcomes.into_iter().enumerate() {
+        // A `None` is unreachable while the claim protocol holds (see the
+        // merge notes above); degrade to a budget stop rather than panic.
+        match o {
+            Some(o) if budget.is_none_or(|b| summary.slots_used < b) => {
+                fold_outcome(&mut summary, &mut agg, o, start + k);
             }
-            let o = run_index(&prepared, cfg, base_seed, i, &opts, limits.no_filter, probes);
-            fold_outcome(&mut summary, &mut agg, o, i);
-        }
-    } else {
-        let meter = Arc::new(SlotMeter::new(summary.slots_used));
-        let mut worker_opts = opts.clone();
-        worker_opts.slot_meter = Some(meter.clone());
-        let next = AtomicUsize::new(start);
-        let mut outcomes: Vec<Option<RunOutcome>> = Vec::new();
-        outcomes.resize_with(runs - start, || None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    let (prepared, worker_opts, next, meter) = (&prepared, &worker_opts, &next, &meter);
-                    s.spawn(move || {
-                        let mut local: Vec<(usize, RunOutcome)> = Vec::new();
-                        loop {
-                            if let Some(budget) = limits.total_slot_budget {
-                                if meter.total() >= budget {
-                                    break;
-                                }
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= runs {
-                                break;
-                            }
-                            local.push((
-                                i,
-                                run_index(
-                                    prepared,
-                                    cfg,
-                                    base_seed,
-                                    i,
-                                    worker_opts,
-                                    limits.no_filter,
-                                    probes,
-                                ),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, o) in h.join().expect("explore worker panicked") {
-                    outcomes[i - start] = Some(o);
-                }
-            }
-        });
-        for i in start..runs {
-            if let Some(budget) = limits.total_slot_budget {
-                if summary.slots_used >= budget {
-                    summary.timed_out = true;
-                    break;
-                }
-            }
-            match outcomes[i - start].take() {
-                Some(o) => fold_outcome(&mut summary, &mut agg, o, i),
-                // Unreachable while the claim protocol holds (see the merge
-                // notes above); degrade to a budget stop rather than panic.
-                None => {
-                    summary.timed_out = true;
-                    break;
-                }
+            _ => {
+                summary.timed_out = true;
+                break;
             }
         }
     }
@@ -561,53 +507,19 @@ pub struct ExploreCheckpoint {
     pub locations: Vec<LocationHit>,
 }
 
-const CHECKPOINT_MAGIC: &str = "raceline-explore-checkpoint v1";
+const CHECKPOINT_MAGIC: &str = "raceline-explore-checkpoint v2";
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
-}
+/// One header line (the magic); the whole checkpoint is one block whose
+/// `next_index` line, rendered last, commits it.
+const FRAMING: Framing = Framing { header_lines: 1, is_commit: |l| l.starts_with("next_index ") };
 
 impl ExploreCheckpoint {
-    /// Serialize to the line-oriented text format.
+    /// Serialize to the line-oriented text format. The counters follow
+    /// the `loc` lines and `next_index` comes last: it is the commit
+    /// record, so a torn save never resumes with locations missing.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(CHECKPOINT_MAGIC);
-        out.push('\n');
-        out.push_str(&format!("base_seed {}\n", self.base_seed));
-        out.push_str(&format!("runs {}\n", self.runs));
-        out.push_str(&format!("next_index {}\n", self.next_index));
-        out.push_str(&format!("clean {}\n", self.clean_runs));
-        out.push_str(&format!("deadlocked {}\n", self.deadlocked_runs));
-        out.push_str(&format!("failed {}\n", self.failed_runs));
-        out.push_str(&format!("fuel_exhausted {}\n", self.fuel_exhausted_runs));
-        out.push_str(&format!("slots_used {}\n", self.slots_used));
+        let mut out =
+            format!("{CHECKPOINT_MAGIC}\nbase_seed {}\nruns {}\n", self.base_seed, self.runs);
         for l in &self.locations {
             let r = &l.report;
             out.push_str(&format!(
@@ -622,114 +534,86 @@ impl ExploreCheckpoint {
                 esc(&r.details),
             ));
         }
+        out.push_str(&format!(
+            "clean {}\ndeadlocked {}\nfailed {}\nfuel_exhausted {}\nslots_used {}\nnext_index {}\n",
+            self.clean_runs,
+            self.deadlocked_runs,
+            self.failed_runs,
+            self.fuel_exhausted_runs,
+            self.slots_used,
+            self.next_index,
+        ));
         out
     }
 
-    /// Parse the format produced by [`Self::render`].
+    /// Parse the format produced by [`Self::render`]; a save without its
+    /// commit record is refused.
     pub fn parse(text: &str) -> Result<ExploreCheckpoint, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(l) if l.trim() == CHECKPOINT_MAGIC => {}
-            other => return Err(format!("bad checkpoint header: {other:?}")),
+        if FRAMING.committed(text)? != text {
+            return Err("checkpoint has an uncommitted tail".into());
         }
+        Self::fold(text)
+    }
+
+    /// The record grammar, over a committed prefix.
+    fn fold(text: &str) -> Result<ExploreCheckpoint, String> {
         let mut ck = ExploreCheckpoint::default();
-        for (ln, line) in lines.enumerate() {
-            let line = line.trim_end_matches('\r');
-            if line.is_empty() {
+        for rec in commitlog::records(text, CHECKPOINT_MAGIC)? {
+            let rec = rec?;
+            if rec.key == "loc" {
+                let [hits, kind, tid, addr, line, file, func, details] = rec.fields()?;
+                let (file, func, line) = (unesc(file), unesc(func), rec.num(line)?);
+                ck.locations.push(LocationHit {
+                    hits: rec.num(hits)?,
+                    first_run: 0,
+                    report: Report {
+                        kind: rec.kind(kind)?,
+                        tid: rec.num(tid)?,
+                        addr: rec.num(addr)?,
+                        stack: vec![StackFrame { func: func.clone(), file: file.clone(), line }],
+                        file,
+                        line,
+                        func,
+                        block: None,
+                        details: unesc(details),
+                        truncated: false,
+                    },
+                });
                 continue;
             }
-            let (key, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("checkpoint line {}: missing value", ln + 2))?;
-            let num = |s: &str| {
-                s.parse::<u64>().map_err(|_| format!("checkpoint line {}: bad number", ln + 2))
-            };
-            match key {
-                "base_seed" => ck.base_seed = num(rest)?,
-                "runs" => ck.runs = num(rest)? as usize,
-                "next_index" => ck.next_index = num(rest)? as usize,
-                "clean" => ck.clean_runs = num(rest)? as usize,
-                "deadlocked" => ck.deadlocked_runs = num(rest)? as usize,
-                "failed" => ck.failed_runs = num(rest)? as usize,
-                "fuel_exhausted" => ck.fuel_exhausted_runs = num(rest)? as usize,
-                "slots_used" => ck.slots_used = num(rest)?,
-                "loc" => {
-                    let fields: Vec<&str> = rest.split('\t').collect();
-                    if fields.len() != 8 {
-                        return Err(format!(
-                            "checkpoint line {}: expected 8 loc fields, got {}",
-                            ln + 2,
-                            fields.len()
-                        ));
-                    }
-                    let kind = ReportKind::from_code(fields[1]).ok_or_else(|| {
-                        format!("checkpoint line {}: unknown report kind {:?}", ln + 2, fields[1])
-                    })?;
-                    let file = unesc(fields[5]);
-                    let func = unesc(fields[6]);
-                    let line_no = num(fields[4])? as u32;
-                    ck.locations.push(LocationHit {
-                        hits: num(fields[0])? as usize,
-                        first_run: 0,
-                        report: Report {
-                            kind,
-                            tid: num(fields[2])? as u32,
-                            file: file.clone(),
-                            line: line_no,
-                            func: func.clone(),
-                            addr: num(fields[3])?,
-                            stack: vec![StackFrame { func, file, line: line_no }],
-                            block: None,
-                            details: unesc(fields[7]),
-                            truncated: false,
-                        },
-                    });
-                }
-                other => return Err(format!("checkpoint line {}: unknown key {other:?}", ln + 2)),
+            let [v] = rec.fields()?;
+            let v: u64 = rec.num(v)?;
+            match rec.key {
+                "base_seed" => ck.base_seed = v,
+                "runs" => ck.runs = v as usize,
+                "clean" => ck.clean_runs = v as usize,
+                "deadlocked" => ck.deadlocked_runs = v as usize,
+                "failed" => ck.failed_runs = v as usize,
+                "fuel_exhausted" => ck.fuel_exhausted_runs = v as usize,
+                "slots_used" => ck.slots_used = v,
+                "next_index" => ck.next_index = v as usize,
+                other => return Err(rec.err(format!("unknown record {other:?}"))),
             }
         }
         Ok(ck)
     }
 
-    /// Like [`Self::parse`], but tolerant of the one corruption an
-    /// interrupted write can leave behind: a truncated final record. On a
-    /// strict-parse failure, drop the trailing partial line (or, when the
-    /// text ends in a newline, the last full line) and retry once. Returns
-    /// the checkpoint plus whether a repair was applied; errors on
-    /// interior lines still propagate — those are real corruption, not a
-    /// torn tail.
-    pub fn parse_repair(text: &str) -> Result<(ExploreCheckpoint, bool), String> {
-        let first_err = match Self::parse(text) {
-            Ok(ck) => return Ok((ck, false)),
-            Err(e) => e,
-        };
-        let Some(trimmed) = trim_torn_tail(text) else {
-            return Err(first_err);
-        };
-        match Self::parse(trimmed) {
-            Ok(ck) => Ok((ck, true)),
-            Err(_) => Err(first_err),
-        }
-    }
-}
-
-/// The prefix of `text` with the torn tail removed: everything after the
-/// last newline when the text does not end in one (an interrupted write
-/// mid-line), otherwise the last *complete* line (an interrupted write
-/// that happened to stop on a line boundary — the line itself is
-/// suspect). `None` when nothing parseable would remain. Shared by every
-/// line-oriented checkpoint format's `parse_repair`.
-pub fn trim_torn_tail(text: &str) -> Option<&str> {
-    match text.rfind('\n') {
-        Some(nl) if nl + 1 < text.len() => Some(&text[..nl + 1]),
-        Some(nl) => text[..nl].rfind('\n').map(|prev| &text[..prev + 1]),
-        None => None,
+    /// Like [`Self::parse`], but cut back to the committed prefix first
+    /// (the shared [`crate::commitlog`] rule): a save interrupted before
+    /// its `next_index` line resumes as if it never happened. Returns the
+    /// checkpoint, the committed prefix, and whether anything was dropped;
+    /// errors in committed lines still propagate — those are real
+    /// corruption, not a torn tail.
+    pub fn parse_repair(text: &str) -> Result<(ExploreCheckpoint, &str, bool), String> {
+        let committed = FRAMING.committed(text)?;
+        Ok((Self::fold(committed)?, committed, committed.len() < text.len()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::ReportKind;
     use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
     use vexec::ir::Expr;
 
@@ -862,7 +746,7 @@ mod tests {
     #[test]
     fn checkpoint_rejects_garbage() {
         assert!(ExploreCheckpoint::parse("not a checkpoint").is_err());
-        let bad = format!("{}\nloc 1\tNope\t0\t0\t0\tf\tg\td\n", "raceline-explore-checkpoint v1");
+        let bad = format!("{CHECKPOINT_MAGIC}\nloc 1\tNope\t0\t0\t0\tf\tg\td\nnext_index 0\n");
         assert!(ExploreCheckpoint::parse(&bad).is_err());
     }
 
@@ -893,24 +777,23 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_repair_drops_torn_tail() {
+    fn checkpoint_repair_drops_an_uncommitted_save() {
         let mut ck =
             ExploreCheckpoint { base_seed: 7, runs: 10, next_index: 6, ..Default::default() };
         ck.clean_runs = 6;
         let full = ck.render();
-        // Interrupted write: the final line is cut mid-record, no newline.
+        // Interrupted write: the `next_index` commit record is cut mid-line.
         let torn = &full[..full.len() - 3];
         assert!(ExploreCheckpoint::parse(torn).is_err(), "strict parse must reject");
-        let (back, repaired) = ExploreCheckpoint::parse_repair(torn).unwrap();
+        let (back, _, repaired) = ExploreCheckpoint::parse_repair(torn).unwrap();
         assert!(repaired);
-        assert_eq!(back.base_seed, 7);
-        assert_eq!(back.next_index, 6);
+        assert_eq!((back.next_index, back.clean_runs), (0, 0), "nothing was committed");
     }
 
     #[test]
     fn checkpoint_repair_is_noop_on_clean_input() {
         let ck = ExploreCheckpoint { base_seed: 3, runs: 4, ..Default::default() };
-        let (back, repaired) = ExploreCheckpoint::parse_repair(&ck.render()).unwrap();
+        let (back, _, repaired) = ExploreCheckpoint::parse_repair(&ck.render()).unwrap();
         assert!(!repaired);
         assert_eq!(back.base_seed, 3);
     }

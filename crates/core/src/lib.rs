@@ -26,6 +26,7 @@
 //! ```
 
 pub mod budget;
+pub mod commitlog;
 pub mod config;
 pub mod detector;
 pub mod eraser;
@@ -33,7 +34,7 @@ pub mod explore;
 pub mod hb;
 pub mod lockorder;
 pub mod locksets;
-pub mod offline;
+pub mod par;
 pub mod replay;
 pub mod report;
 pub mod segments;
@@ -46,13 +47,12 @@ pub use config::{BusLockModel, DetectorConfig};
 pub use detector::{AnyDetector, DjitDetector, EngineStats, EraserDetector, HybridDetector};
 pub use eraser::{LocksetEngine, RaceInfo, VarState};
 pub use explore::{
-    explore_schedules, explore_schedules_directed, explore_schedules_with, trim_torn_tail,
-    DirectedTarget, ExploreCheckpoint, ExploreLimits, ExploreSummary, LocationHit,
+    explore_schedules, explore_schedules_directed, explore_schedules_with, DirectedTarget,
+    ExploreCheckpoint, ExploreLimits, ExploreSummary, LocationHit,
 };
 pub use hb::{EpochStats, HbConflict, HbEngine, HbRaceInfo};
 pub use lockorder::{CycleInfo, LockOrderGraph};
 pub use locksets::{LockId, LockSetId, LockSetTable};
-pub use offline::{analyze_trace, OfflineAnalysis};
 pub use replay::{
     analyze_trace_bytes, analyze_trace_repair, warning_fingerprint, RepairInfo, ReplayCtx,
     ReplayDetector, ReplayOutcome,

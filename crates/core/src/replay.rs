@@ -10,8 +10,7 @@
 //! construction.
 //!
 //! Sharding: epoch payloads are codec-independent, so decoding fans out
-//! over a scoped thread pool (workers claim epoch indices from a shared
-//! atomic counter, the PR-3 pattern). Detector dispatch is a *sequential
+//! over the [`crate::par`] worker pool. Detector dispatch is a *sequential
 //! fold in epoch order* over the decoded records — identical for any
 //! `--jobs N`, which is what makes parallel analysis bit-reproducible.
 //!
@@ -29,8 +28,6 @@
 //! sharded analyze across both modes.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use raceline_trace::format::{TraceError, TraceFooter, TraceRecord};
 use raceline_trace::reader::{decode_epoch, parse_trace, parse_trace_repair, ParsedTrace};
@@ -38,77 +35,14 @@ use vexec::event::{Event, ThreadId};
 use vexec::ir::SrcLoc;
 use vexec::util::Symbol;
 
-use crate::detector::{DjitDetector, EngineStats, EraserDetector, HybridDetector};
+use crate::detector::{AnyDetector, EngineStats};
 use crate::report::{format_block_note, Report, ReportCtx, StackFrame};
 
-/// Any of the three detector families, unified for trace dispatch. Build
-/// the inner detector exactly as the inline path would (same config, same
-/// suppressions) and reports come out byte-identical.
-#[allow(clippy::large_enum_variant)] // one detector per analysis, never collections of them
-pub enum ReplayDetector {
-    Eraser(EraserDetector),
-    Djit(DjitDetector),
-    Hybrid(HybridDetector),
-}
-
-impl ReplayDetector {
-    /// Build the replay-side detector exactly the way the inline `check`
-    /// path builds its tool (same config, same suppression wiring) — the
-    /// other half of the byte-identity contract. The name → engine mapping
-    /// matches [`crate::AnyDetector::by_name`].
-    pub fn by_name(
-        name: &str,
-        cfg: crate::DetectorConfig,
-        suppressions: crate::SuppressionSet,
-    ) -> Self {
-        match name {
-            "djit" => ReplayDetector::Djit(DjitDetector::new(cfg)),
-            "hybrid" | "hybrid-queue" => ReplayDetector::Hybrid(HybridDetector::new(cfg)),
-            _ => ReplayDetector::Eraser(EraserDetector::with_suppressions(cfg, suppressions)),
-        }
-    }
-
-    fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
-        match self {
-            ReplayDetector::Eraser(d) => d.handle_event(ev, ctx),
-            ReplayDetector::Djit(d) => d.handle_event(ev, ctx),
-            ReplayDetector::Hybrid(d) => d.handle_event(ev, ctx),
-        }
-    }
-
-    fn handle_finish(&mut self) {
-        match self {
-            ReplayDetector::Eraser(d) => d.handle_finish(),
-            ReplayDetector::Djit(d) => d.handle_finish(),
-            ReplayDetector::Hybrid(d) => d.handle_finish(),
-        }
-    }
-
-    pub fn truncated(&self) -> bool {
-        match self {
-            ReplayDetector::Eraser(d) => d.truncated(),
-            ReplayDetector::Djit(d) => d.truncated(),
-            ReplayDetector::Hybrid(d) => d.truncated(),
-        }
-    }
-
-    pub fn take_reports(&mut self) -> Vec<Report> {
-        match self {
-            ReplayDetector::Eraser(d) => d.sink.take_reports(),
-            ReplayDetector::Djit(d) => d.sink.take_reports(),
-            ReplayDetector::Hybrid(d) => d.sink.take_reports(),
-        }
-    }
-
-    /// Per-engine analysis counters, for `analyze --stats`.
-    pub fn engine_stats(&self) -> Vec<EngineStats> {
-        match self {
-            ReplayDetector::Eraser(d) => d.engine_stats(),
-            ReplayDetector::Djit(d) => d.engine_stats(),
-            ReplayDetector::Hybrid(d) => d.engine_stats(),
-        }
-    }
-}
+/// The detector a replay dispatches into: the same name-dispatched
+/// [`AnyDetector`] that live runs use. Build it the way the inline path
+/// builds its tool (same name, config, suppressions) and reports come out
+/// byte-identical.
+pub type ReplayDetector = AnyDetector;
 
 /// What offline analysis hands back to the caller.
 pub struct ReplayOutcome {
@@ -197,47 +131,21 @@ impl ReportCtx for ReplayCtx {
     }
 }
 
-/// Decode every epoch payload, fanning out over `jobs` worker threads.
-/// Workers claim epoch indices from a shared counter; results land in
-/// index-order slots, so the output (including which error surfaces when
-/// several epochs are corrupt) is independent of thread timing.
+/// Decode every epoch payload on the [`crate::par`] pool. Results land in
+/// index order, so the output — including which error surfaces when
+/// several epochs are corrupt (the first in epoch order) — is independent
+/// of thread timing.
 fn decode_epochs(
     bytes: &[u8],
     parsed: &ParsedTrace,
     jobs: usize,
 ) -> Result<Vec<Vec<TraceRecord>>, TraceError> {
-    let n = parsed.epochs.len();
     let nsyms = parsed.header.symbols.len() as u32;
-    if jobs <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for desc in &parsed.epochs {
-            out.push(decode_epoch(bytes, desc, nsyms)?);
-        }
-        return Ok(out);
-    }
-    type DecodeSlot = Mutex<Option<Result<Vec<TraceRecord>, TraceError>>>;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<DecodeSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = decode_epoch(bytes, &parsed.epochs[i], nsyms);
-                *slots[i].lock().expect("decode slot poisoned") = Some(r);
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        match slot.into_inner().expect("decode slot poisoned").expect("worker filled slot") {
-            Ok(recs) => out.push(recs),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(out)
+    crate::par::map_indexed(jobs, parsed.epochs.len(), |i| {
+        decode_epoch(bytes, &parsed.epochs[i], nsyms)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Run `detector` over a complete `.rltrace` byte stream.

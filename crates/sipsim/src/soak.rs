@@ -29,7 +29,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::workload::{phase_cells, DialogClass, SoakSpec};
-use helgrind_core::{trim_torn_tail, warning_fingerprint, AnyDetector, Report, ReportKind};
+use helgrind_core::commitlog::{self, esc, unesc, Framing};
+use helgrind_core::{warning_fingerprint, AnyDetector, Report, ReportKind};
 use vexec::faults::FaultPlan;
 use vexec::filter::FilterTool;
 use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
@@ -522,35 +523,18 @@ pub struct CatEntry {
 
 const LOG_MAGIC: &str = "raceline-soak-log v1";
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Two header lines (magic, spec echo); each `phase` line commits its
+/// phase's block.
+const FRAMING: Framing = Framing { header_lines: 2, is_commit: |l| l.starts_with("phase ") };
 
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
+/// A phase's reports deduped by warning fingerprint, in fingerprint order,
+/// with their hit counts.
+fn by_fingerprint(reports: &[Report]) -> impl Iterator<Item = (u64, &Report)> {
+    let mut agg: BTreeMap<String, (u64, &Report)> = BTreeMap::new();
+    for r in reports {
+        agg.entry(warning_fingerprint(r)).or_insert((0, r)).0 += 1;
     }
-    out
+    agg.into_values()
 }
 
 /// The soak run's durable state: committed phases plus the
@@ -585,13 +569,8 @@ impl SoakLog {
     /// lines (fingerprint-deduped within the phase) followed by the
     /// `phase` commit line.
     pub fn phase_block(outcome: &PhaseOutcome) -> String {
-        let mut agg: BTreeMap<String, (u64, &Report)> = BTreeMap::new();
-        for r in &outcome.reports {
-            let e = agg.entry(warning_fingerprint(r)).or_insert((0, r));
-            e.0 += 1;
-        }
         let mut out = String::new();
-        for (hits, r) in agg.values() {
+        for (hits, r) in by_fingerprint(&outcome.reports) {
             let _ = writeln!(
                 out,
                 "warn {hits}\t{}\t{}\t{}\t{}",
@@ -625,188 +604,100 @@ impl SoakLog {
     /// folded in order.
     pub fn fold_phase(&mut self, outcome: &PhaseOutcome) {
         assert_eq!(outcome.stats.phase, self.next_phase(), "phases must be committed in order");
-        let phase = outcome.stats.phase;
-        let mut agg: BTreeMap<String, (u64, &Report)> = BTreeMap::new();
-        for r in &outcome.reports {
-            let e = agg.entry(warning_fingerprint(r)).or_insert((0, r));
-            e.0 += 1;
-        }
-        for (fp, (hits, r)) in agg {
-            self.catalogue
-                .entry(fp)
-                .and_modify(|e| {
-                    e.hits += hits;
-                    e.last_phase = phase;
-                })
-                .or_insert(CatEntry {
-                    kind: r.kind,
-                    file: r.file.clone(),
-                    line: r.line,
-                    func: r.func.clone(),
-                    hits,
-                    first_phase: phase,
-                    last_phase: phase,
-                });
+        for (hits, r) in by_fingerprint(&outcome.reports) {
+            self.merge_warn(outcome.stats.phase, hits, r.kind, &r.file, r.line, &r.func);
         }
         self.phases.push(outcome.stats.clone());
     }
 
-    /// Full rendering (header + every committed block) — what a complete
-    /// log file contains.
-    pub fn render(&self) -> String {
-        let mut out = self.header();
-        // Re-deriving per-phase warn lines from the folded catalogue is
-        // not possible (hits are summed), so a full render is only used
-        // for fresh files; appends use [`Self::phase_block`].
-        for s in &self.phases {
-            let _ = writeln!(
-                out,
-                "phase {}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                s.phase,
-                s.dialogs,
-                s.events,
-                s.slots,
-                s.kills,
-                s.leaked_locks,
-                s.leaked_bytes,
-                s.warnings,
-                s.peak_granules,
-                s.end_granules,
-                u8::from(s.truncated),
-                s.end.label(),
-            );
-        }
-        out
+    fn merge_warn(
+        &mut self,
+        phase: u32,
+        hits: u64,
+        kind: ReportKind,
+        file: &str,
+        line: u32,
+        func: &str,
+    ) {
+        self.catalogue
+            .entry(format!("{}|{file}|{line}|{func}", kind.code()))
+            .and_modify(|e| {
+                e.hits += hits;
+                e.last_phase = phase;
+            })
+            .or_insert_with(|| CatEntry {
+                kind,
+                file: file.to_string(),
+                line,
+                func: func.to_string(),
+                hits,
+                first_phase: phase,
+                last_phase: phase,
+            });
     }
 
-    fn parse_strict(text: &str) -> Result<(SoakLog, usize), String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(l) if l.trim() == LOG_MAGIC => {}
-            other => return Err(format!("bad soak log header: {other:?}")),
-        }
-        let params = match lines.next() {
-            Some(l) => l
-                .strip_prefix("spec ")
-                .ok_or_else(|| format!("soak log line 2: expected spec line, got {l:?}"))?
-                .to_string(),
-            None => return Err("soak log: missing spec line".into()),
+    /// The record grammar, over a committed prefix.
+    fn fold(text: &str) -> Result<SoakLog, String> {
+        let mut recs = commitlog::records(text, LOG_MAGIC)?;
+        let params = match recs.next().transpose()? {
+            Some(rec) if rec.key == "spec" => rec.rest.to_string(),
+            _ => return Err("soak log: missing spec line".into()),
         };
         let mut log = SoakLog { params, ..Default::default() };
-        // Pending `warn` lines of the not-yet-committed phase.
+        // `warn` records of the phase their `phase` record will commit.
         let mut pending: Vec<(u64, ReportKind, u32, String, String)> = Vec::new();
-        for (ln, line) in lines.enumerate() {
-            let line = line.trim_end_matches('\r');
-            if line.is_empty() {
-                continue;
-            }
-            let (key, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("soak log line {}: missing value", ln + 3))?;
-            let fields: Vec<&str> = rest.split('\t').collect();
-            let num = |s: &str| {
-                s.parse::<u64>().map_err(|_| format!("soak log line {}: bad number", ln + 3))
-            };
-            match key {
+        for rec in recs {
+            let rec = rec?;
+            match rec.key {
                 "warn" => {
-                    if fields.len() != 5 {
-                        return Err(format!(
-                            "soak log line {}: expected 5 warn fields, got {}",
-                            ln + 3,
-                            fields.len()
-                        ));
-                    }
-                    let kind = ReportKind::from_code(fields[1]).ok_or_else(|| {
-                        format!("soak log line {}: unknown kind {:?}", ln + 3, fields[1])
-                    })?;
-                    pending.push((
-                        num(fields[0])?,
-                        kind,
-                        num(fields[2])? as u32,
-                        unesc(fields[3]),
-                        unesc(fields[4]),
-                    ));
+                    let [hits, kind, line, file, func] = rec.fields()?;
+                    let (hits, kind, line) = (rec.num(hits)?, rec.kind(kind)?, rec.num(line)?);
+                    pending.push((hits, kind, line, unesc(file), unesc(func)));
                 }
                 "phase" => {
-                    if fields.len() != 12 {
-                        return Err(format!(
-                            "soak log line {}: expected 12 phase fields, got {}",
-                            ln + 3,
-                            fields.len()
-                        ));
-                    }
-                    let phase = num(fields[0])? as u32;
+                    let [phase, dialogs, events, slots, kills, locks, bytes, warnings, peak, live, trunc, end] =
+                        rec.fields()?;
+                    let phase = rec.num(phase)?;
                     if phase != log.next_phase() {
-                        return Err(format!(
-                            "soak log line {}: phase {} out of order (expected {})",
-                            ln + 3,
-                            phase,
+                        return Err(rec.err(format!(
+                            "phase {phase} out of order (expected {})",
                             log.next_phase()
-                        ));
+                        )));
                     }
                     let stats = PhaseStats {
                         phase,
-                        dialogs: num(fields[1])?,
-                        events: num(fields[2])?,
-                        slots: num(fields[3])?,
-                        kills: num(fields[4])?,
-                        leaked_locks: num(fields[5])?,
-                        leaked_bytes: num(fields[6])?,
-                        warnings: num(fields[7])? as usize,
-                        peak_granules: num(fields[8])? as usize,
-                        end_granules: num(fields[9])? as usize,
-                        truncated: num(fields[10])? != 0,
-                        end: PhaseEnd::parse(fields[11])?,
+                        dialogs: rec.num(dialogs)?,
+                        events: rec.num(events)?,
+                        slots: rec.num(slots)?,
+                        kills: rec.num(kills)?,
+                        leaked_locks: rec.num(locks)?,
+                        leaked_bytes: rec.num(bytes)?,
+                        warnings: rec.num(warnings)?,
+                        peak_granules: rec.num(peak)?,
+                        end_granules: rec.num(live)?,
+                        truncated: rec.flag(trunc)?,
+                        end: PhaseEnd::parse(end).map_err(|e| rec.err(e))?,
                     };
-                    for (hits, kind, line_no, file, func) in pending.drain(..) {
-                        let fp = format!("{}|{}|{}|{}", kind.code(), file, line_no, func);
-                        log.catalogue
-                            .entry(fp)
-                            .and_modify(|e| {
-                                e.hits += hits;
-                                e.last_phase = phase;
-                            })
-                            .or_insert(CatEntry {
-                                kind,
-                                file,
-                                line: line_no,
-                                func,
-                                hits,
-                                first_phase: phase,
-                                last_phase: phase,
-                            });
+                    for (hits, kind, line, file, func) in pending.drain(..) {
+                        log.merge_warn(phase, hits, kind, &file, line, &func);
                     }
                     log.phases.push(stats);
                 }
-                other => {
-                    return Err(format!("soak log line {}: unknown key {other:?}", ln + 3));
-                }
+                other => return Err(rec.err(format!("unknown record {other:?}"))),
             }
         }
-        Ok((log, pending.len()))
+        Ok(log)
     }
 
-    /// Parse a log file, tolerating the two corruptions an interrupted
-    /// append leaves behind: a torn final line (dropped and reparsed, as
-    /// checkpoint `parse_repair` does) and trailing `warn` lines with no
-    /// `phase` commit record (dropped — the interrupted phase will be
-    /// re-run and reproduce them exactly). Returns the log plus whether
-    /// any repair was applied. Interior corruption still errors.
-    pub fn parse_repair(text: &str) -> Result<(SoakLog, bool), String> {
-        // A line only counts as committed when it is newline-terminated:
-        // a torn `phase` line could otherwise parse by accident (e.g.
-        // `deadlock:12` torn to `deadlock:1`). Anything after the last
-        // newline is the torn tail.
-        let (body, torn) = if text.ends_with('\n') {
-            (text, false)
-        } else {
-            match trim_torn_tail(text) {
-                Some(t) => (t, true),
-                None => return Err("soak log: torn before the first complete line".into()),
-            }
-        };
-        let (log, uncommitted) = Self::parse_strict(body)?;
-        Ok((log, torn || uncommitted > 0))
+    /// Parse a log file, cut back to its committed prefix first (the
+    /// shared [`helgrind_core::commitlog`] rule): a torn final line and
+    /// trailing `warn` lines with no `phase` commit record are dropped —
+    /// the interrupted phase will be re-run and reproduce them exactly.
+    /// Returns the log, the committed prefix to rewrite the file with,
+    /// and whether anything was dropped. Interior corruption still errors.
+    pub fn parse_repair(text: &str) -> Result<(SoakLog, &str, bool), String> {
+        let committed = FRAMING.committed(text).map_err(|e| format!("soak log: {e}"))?;
+        Ok((Self::fold(committed)?, committed, committed.len() < text.len()))
     }
 
     /// The final human summary — also the byte-comparison artifact for
@@ -1002,42 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn log_roundtrips_and_repairs_torn_tails() {
-        let spec = small_spec();
-        let mut log = SoakLog::new(&spec);
-        let mut file = log.header();
-        let mut blocks = Vec::new();
-        for phase in 0..spec.phases {
-            let out = run_phase(&spec, phase, Some(det()), true, None);
-            blocks.push(SoakLog::phase_block(&out));
-            file.push_str(blocks.last().unwrap());
-            log.fold_phase(&out);
-        }
-        let (parsed, repaired) = SoakLog::parse_repair(&file).unwrap();
-        assert!(!repaired);
-        assert_eq!(parsed.phases, log.phases);
-        assert_eq!(parsed.catalogue, log.catalogue);
-        assert_eq!(parsed.render_summary(true), log.render_summary(true));
-
-        // Every truncation point mid-final-block repairs to exactly the
-        // first three committed phases.
-        let committed: usize = file.len() - blocks.last().unwrap().len();
-        for cut in committed + 1..file.len() {
-            let (r, repaired) =
-                SoakLog::parse_repair(&file[..cut]).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-            assert!(repaired, "cut {cut} inside the uncommitted block");
-            assert_eq!(r.phases.len(), 3, "cut {cut}");
-            assert_eq!(r.phases, log.phases[..3]);
-        }
-
-        // Interior corruption is not a torn tail: flip a committed byte.
-        let mut bad = file.clone().into_bytes();
-        let mid = file.find("phase 1\t").unwrap();
-        bad[mid] = b'#';
-        assert!(SoakLog::parse_repair(&String::from_utf8(bad).unwrap()).is_err());
-    }
-
-    #[test]
     fn resumed_runs_reproduce_the_uninterrupted_summary() {
         let spec = small_spec();
         // Uninterrupted run.
@@ -1051,7 +906,7 @@ mod tests {
             file.push_str(&SoakLog::phase_block(&run_phase(&spec, phase, Some(det()), true, None)));
         }
         file.push_str("warn 3\tR"); // torn mid-line, no newline
-        let (mut resumed, repaired) = SoakLog::parse_repair(&file).unwrap();
+        let (mut resumed, _, repaired) = SoakLog::parse_repair(&file).unwrap();
         assert!(repaired);
         assert_eq!(resumed.next_phase(), 2);
         for phase in resumed.next_phase()..spec.phases {

@@ -58,7 +58,6 @@ pub mod ir;
 pub mod sched;
 pub mod sync;
 pub mod tool;
-pub mod trace;
 pub mod util;
 pub mod vm;
 
@@ -69,7 +68,6 @@ pub use ir::builder::{ProcBuilder, ProgramBuilder};
 pub use ir::{Cond, Expr, Program, SrcLoc, SyncKind, SyncOp};
 pub use sched::{Pct, PriorityOrder, Quantum, RoundRobin, Scheduler, SeededRandom, SplitMix64};
 pub use tool::{CountingTool, FanoutTool, NullTool, RecordingTool, Tool};
-pub use trace::{Trace, TraceError, TraceWriter};
 pub use ir::compile::{compile, CompileStats, CompiledProgram};
 pub use vm::{
     run_flat, run_program, GuestError, GuestErrorKind, InterpStats, PreparedProgram, RunResult,

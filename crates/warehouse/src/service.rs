@@ -18,16 +18,10 @@
 //!   fold keyed by content identity; the log append is newline-committed.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-
-/// Replace `path` atomically: write a sibling temp file, then rename over.
-fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("repair.tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| format!("{}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
-}
+use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
+use helgrind_core::commitlog;
 use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint, ReplayDetector};
 use helgrind_core::{DetectorConfig, SuppressionSet};
 use raceline_trace::format::Fnv1a;
@@ -36,7 +30,7 @@ use crate::render::{
     diff_builds, render_catalogue, render_diff_json, render_stats, SessionCounters,
 };
 use crate::wlog::{TraceWarnings, WarehouseLog};
-use crate::{write_lines, LOG_FILE};
+use crate::LOG_FILE;
 
 /// How a `raceline serve` process is configured. The engine name and
 /// `hb_reference` flag are the provenance stamped into the warehouse log;
@@ -177,17 +171,14 @@ impl Service {
                     WarehouseLog::parse_repair(&text, Some((&config.engine, config.hb_reference)))
                         .map_err(|e| format!("{}: {e}", log_path.display()))?;
                 if repaired {
-                    replace_file(&log_path, committed.as_bytes())?;
+                    commitlog::replace(&log_path, committed)
+                        .map_err(|e| format!("{}: {e}", log_path.display()))?;
                 }
                 log
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 let log = WarehouseLog::new(&config.engine, config.hb_reference);
-                let mut w = std::io::BufWriter::new(
-                    std::fs::File::create(&log_path)
-                        .map_err(|e| format!("{}: {e}", log_path.display()))?,
-                );
-                write_lines(&mut w, &log.header())
+                commitlog::create(&log_path, &log.header())
                     .map_err(|e| format!("{}: {e}", log_path.display()))?;
                 log
             }
@@ -332,12 +323,7 @@ impl Service {
 
     fn append(&self, block: &str) -> Result<(), String> {
         let path = self.config.spool.join(LOG_FILE);
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut w = std::io::BufWriter::new(file);
-        write_lines(&mut w, block).map_err(|e| format!("{}: {e}", path.display()))
+        commitlog::append(&path, block).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// The catalogue text — the byte-compared equivalence artifact.

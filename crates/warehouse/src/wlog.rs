@@ -5,51 +5,24 @@
 //! anywhere during an append loses only uncommitted lines, never committed
 //! state. `suppress` lines are single-line and therefore self-committing.
 //!
-//! `parse_repair` reuses the shared [`trim_torn_tail`] rule: a torn final
-//! line (or a suspect final complete line) is dropped and the parse
-//! retried once; interior errors still propagate — those are real
-//! corruption, not a crash artifact.
+//! `parse_repair` applies the shared [`helgrind_core::commitlog`] rule:
+//! the log is cut back to its last newline-terminated `trace` or
+//! `suppress` line, and errors in committed lines still propagate — those
+//! are real corruption, not a crash artifact.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use helgrind_core::trim_torn_tail;
+use helgrind_core::commitlog::{self, esc, unesc, Framing};
 use helgrind_core::ReportKind;
 
 pub const LOG_MAGIC: &str = "raceline-warehouse-log v1";
 
-/// Escape tabs/newlines/backslashes so arbitrary paths and function names
-/// survive the tab-separated line format (same scheme as the soak log).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`esc`].
-pub fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
-}
+/// Two header lines (magic, engine provenance); `trace` lines commit an
+/// ingest block and `suppress` lines commit themselves.
+const FRAMING: Framing = Framing {
+    header_lines: 2,
+    is_commit: |l| l.starts_with("trace ") || l.starts_with("suppress "),
+};
 
 /// One fingerprint-deduped warning location in the warehouse catalogue.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -179,20 +152,21 @@ impl WarehouseLog {
     /// Strict parse of a complete log. `expect_engine` pins the provenance
     /// the serving process was configured with.
     pub fn parse(text: &str, expect_engine: Option<(&str, bool)>) -> Result<Self, String> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, l)) if l == LOG_MAGIC => {}
-            Some((_, l)) => return Err(format!("bad magic: {l:?}")),
-            None => return Err("empty log".to_string()),
+        if FRAMING.committed(text)? != text {
+            return Err("log has an uncommitted tail".to_string());
         }
-        let engine_line = lines.next().ok_or("missing engine line")?.1;
-        let rest = engine_line.strip_prefix("engine ").ok_or("missing engine line")?;
-        let mut f = rest.split('\t');
-        let engine = unesc(f.next().ok_or("engine line: missing name")?);
-        let hb_reference = match f.next() {
-            Some("0") => false,
-            Some("1") => true,
-            other => return Err(format!("engine line: bad hb flag {other:?}")),
+        Self::fold(text, expect_engine)
+    }
+
+    /// The record grammar, over a committed prefix.
+    fn fold(text: &str, expect_engine: Option<(&str, bool)>) -> Result<Self, String> {
+        let mut recs = commitlog::records(text, LOG_MAGIC)?;
+        let (engine, hb_reference) = match recs.next().transpose()? {
+            Some(rec) if rec.key == "engine" => {
+                let [name, hb] = rec.fields()?;
+                (unesc(name), rec.flag(hb)?)
+            }
+            _ => return Err("missing engine line".to_string()),
         };
         if let Some((want_engine, want_hbref)) = expect_engine {
             if engine != want_engine || hb_reference != want_hbref {
@@ -203,103 +177,53 @@ impl WarehouseLog {
             }
         }
         let mut log = WarehouseLog::new(&engine, hb_reference);
-        // `warn` lines accumulate here until their `trace` commit line.
+        // `warn` records accumulate here until their `trace` commit record.
         let mut pending: TraceWarnings = Vec::new();
-        for (i, line) in lines {
-            let lineno = i + 1;
-            if let Some(rest) = line.strip_prefix("warn ") {
-                let mut f = rest.split('\t');
-                let kind = f
-                    .next()
-                    .and_then(ReportKind::from_code)
-                    .ok_or_else(|| format!("line {lineno}: bad warn kind"))?;
-                let ln: u32 = f
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("line {lineno}: bad warn line number"))?;
-                let file = unesc(f.next().ok_or_else(|| format!("line {lineno}: short warn"))?);
-                let func = unesc(f.next().ok_or_else(|| format!("line {lineno}: short warn"))?);
-                pending.push((kind, file, ln, func));
-            } else if let Some(rest) = line.strip_prefix("trace ") {
-                let mut f = rest.split('\t');
-                let build: u64 = f
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("line {lineno}: bad trace build"))?;
-                let hash = f
-                    .next()
-                    .and_then(|v| u64::from_str_radix(v, 16).ok())
-                    .ok_or_else(|| format!("line {lineno}: bad trace hash"))?;
-                let events: u64 = f
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("line {lineno}: bad trace events"))?;
-                let warnings: u64 = f
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("line {lineno}: bad trace warnings"))?;
-                if warnings != pending.len() as u64 {
-                    return Err(format!(
-                        "line {lineno}: trace commits {warnings} warning(s), block has {}",
-                        pending.len()
-                    ));
+        for rec in recs {
+            let rec = rec?;
+            match rec.key {
+                "warn" => {
+                    let [kind, line, file, func] = rec.fields()?;
+                    pending.push((rec.kind(kind)?, unesc(file), rec.num(line)?, unesc(func)));
                 }
-                log.fold_ingest(build, hash, events, &pending);
-                pending.clear();
-            } else if let Some(rest) = line.strip_prefix("suppress ") {
-                let mut f = rest.split('\t');
-                let on = match f.next() {
-                    Some("0") => false,
-                    Some("1") => true,
-                    other => return Err(format!("line {lineno}: bad suppress flag {other:?}")),
-                };
-                let fp = unesc(f.next().ok_or_else(|| format!("line {lineno}: short suppress"))?);
-                log.fold_suppress(&fp, on);
-            } else {
-                return Err(format!("line {lineno}: unrecognized record {line:?}"));
+                "trace" => {
+                    let [build, hash, events, warnings] = rec.fields()?;
+                    let hash = u64::from_str_radix(hash, 16)
+                        .map_err(|_| rec.err(format!("bad trace hash {hash:?}")))?;
+                    let warnings: usize = rec.num(warnings)?;
+                    if warnings != pending.len() {
+                        return Err(rec.err(format!(
+                            "trace commits {warnings} warning(s), block has {}",
+                            pending.len()
+                        )));
+                    }
+                    log.fold_ingest(rec.num(build)?, hash, rec.num(events)?, &pending);
+                    pending.clear();
+                }
+                "suppress" => {
+                    let [on, fingerprint] = rec.fields()?;
+                    log.fold_suppress(&unesc(fingerprint), rec.flag(on)?);
+                }
+                other => return Err(rec.err(format!("unrecognized record {other:?}"))),
             }
         }
         if !pending.is_empty() {
-            return Err(format!("{} uncommitted warn line(s) at end of log", pending.len()));
+            return Err(format!("{} warn line(s) without a trace commit", pending.len()));
         }
         Ok(log)
     }
 
-    /// Tolerant parse: the one failure an interrupted append can leave
-    /// behind is a truncated tail — drop it via [`trim_torn_tail`] and
-    /// retry once, then drop any now-uncommitted `warn` lines (their
-    /// `trace` commit line was lost with the tail). Returns the log, the
-    /// committed prefix to rewrite the file with, and whether a repair was
-    /// applied. Interior errors still propagate.
-    pub fn parse_repair(
-        text: &str,
+    /// Tolerant parse: cut back to the committed prefix first, so a torn
+    /// final line and `warn` lines whose `trace` commit line was lost are
+    /// dropped. Returns the log, the committed prefix to rewrite the file
+    /// with, and whether anything was dropped. Interior errors still
+    /// propagate.
+    pub fn parse_repair<'a>(
+        text: &'a str,
         expect_engine: Option<(&str, bool)>,
-    ) -> Result<(Self, String, bool), String> {
-        let first_err = match Self::parse(text, expect_engine) {
-            Ok(log) => return Ok((log, text.to_string(), false)),
-            Err(e) => e,
-        };
-        let Some(trimmed) = trim_torn_tail(text) else {
-            return Err(first_err);
-        };
-        // The trim may have cut a `trace` commit line, stranding the warn
-        // lines of its block: peel trailing warn lines until the text ends
-        // on a commit boundary (header, `trace`, or `suppress` line).
-        let mut keep = trimmed.len();
-        loop {
-            let head = &trimmed[..keep];
-            let last = head.trim_end_matches('\n').rfind('\n').map(|p| p + 1).unwrap_or(0);
-            if head[last..].starts_with("warn ") {
-                keep = last;
-            } else {
-                break;
-            }
-        }
-        let committed = &trimmed[..keep];
-        match Self::parse(committed, expect_engine) {
-            Ok(log) => Ok((log, committed.to_string(), true)),
-            Err(_) => Err(first_err),
-        }
+    ) -> Result<(Self, &'a str, bool), String> {
+        let committed = FRAMING.committed(text)?;
+        Ok((Self::fold(committed, expect_engine)?, committed, committed.len() < text.len()))
     }
 }
 
@@ -346,30 +270,17 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_point_repairs_to_a_committed_prefix() {
-        let (_, text) = sample();
-        for cut in 0..text.len() {
-            let torn = &text[..cut];
-            match WarehouseLog::parse_repair(torn, Some(("hwlc-dr", false))) {
-                Ok((log, committed, _)) => {
-                    // The committed prefix must strict-parse to the same state.
-                    let re = WarehouseLog::parse(&committed, Some(("hwlc-dr", false))).unwrap();
-                    assert_eq!(re.entries, log.entries, "cut at {cut}");
-                    assert_eq!(re.traces, log.traces, "cut at {cut}");
-                    assert_eq!(re.suppressed, log.suppressed, "cut at {cut}");
-                    // Only whole committed blocks survive: trace count is
-                    // exactly the number of intact `trace` lines.
-                    let commits = committed.lines().filter(|l| l.starts_with("trace ")).count();
-                    assert_eq!(log.traces.len(), commits, "cut at {cut}");
-                }
-                Err(_) => {
-                    // Acceptable only while the two-line header is still
-                    // incomplete; past it, every cut must repair.
-                    let header_len = WarehouseLog::new("hwlc-dr", false).header().len();
-                    assert!(cut < header_len, "unrepairable cut at {cut}: {torn:?}");
-                }
-            }
-        }
+    fn torn_suppress_line_is_not_committed() {
+        // `sample` ends with a suppress line: tear it mid-fingerprint.
+        let (log, text) = sample();
+        let torn = &text[..text.len() - 4];
+        let (back, committed, repaired) = WarehouseLog::parse_repair(torn, None).unwrap();
+        assert!(repaired, "a torn suppress line is not a shorter fingerprint");
+        assert!(back.suppressed.is_empty());
+        assert_eq!(back.traces, log.traces);
+        assert!(
+            committed.ends_with('\n') && committed.lines().last().unwrap().starts_with("trace 2\t")
+        );
     }
 
     #[test]

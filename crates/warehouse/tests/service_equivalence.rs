@@ -222,3 +222,26 @@ fn corrupt_upload_is_rejected_and_leaves_no_residue() {
     assert_eq!(svc.query(), good, "reopen after rejections is unchanged");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `suppress` line torn mid-fingerprint is uncommitted: reopening drops
+/// it instead of reading a shorter fingerprint, and the next append starts
+/// on a fresh line instead of being glued onto the torn one.
+#[test]
+fn torn_suppress_line_is_dropped_not_glued_onto() {
+    let dir = fresh_dir("torn_suppress");
+    let log_path = dir.join(LOG_FILE);
+    Service::open(config(dir.clone(), 1))
+        .unwrap()
+        .suppress("RaceWrite|a.cpp|10|work", true)
+        .unwrap();
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    std::fs::write(&log_path, &text[..text.len() - 4]).unwrap();
+
+    let svc = Service::open(config(dir.clone(), 1)).unwrap();
+    assert_eq!(svc.suppress("RaceWrite|b.cpp|20|g", true), Ok(true));
+    drop(svc);
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    let log = WarehouseLog::parse(&text, Some((ENGINE, false))).unwrap();
+    assert_eq!(log.suppressed.into_iter().collect::<Vec<_>>(), ["RaceWrite|b.cpp|20|g"], "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

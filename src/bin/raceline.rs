@@ -79,7 +79,7 @@ use helgrind_core::explore::{
     ExploreLimits,
 };
 use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint, ReplayDetector};
-use helgrind_core::ReportKind;
+use helgrind_core::{commitlog, par, ReportKind};
 use helgrind_core::{
     BudgetSpec, DetectorConfig, DjitDetector, EraserDetector, HybridDetector, Report, Suppression,
     SuppressionSet,
@@ -89,8 +89,8 @@ use minicpp::pipeline::{run_pipeline, SourceFile};
 use raceline_trace::format::{TraceFaultStats, TraceTermination};
 use raceline_trace::writer::TraceWriter;
 use raceline_warehouse::{
-    client as wclient, render_diff_json, server as wserver, write_lines, DiffEntry, Service,
-    ServiceConfig, WarehouseLog,
+    client as wclient, render_diff_json, server as wserver, DiffEntry, Service, ServiceConfig,
+    WarehouseLog,
 };
 use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -455,14 +455,12 @@ fn main() {
         };
         let resume = checkpoint_path.as_ref().and_then(|p| {
             let text = std::fs::read_to_string(p).ok()?;
-            // An interrupted save leaves a torn final line; repair (drop the
-            // partial record) rather than refusing to resume.
+            // An interrupted save leaves an uncommitted tail; repair (drop
+            // it) rather than refusing to resume.
             match ExploreCheckpoint::parse_repair(&text) {
-                Ok((ck, repaired)) => {
+                Ok((ck, _, repaired)) => {
                     if repaired {
-                        eprintln!(
-                            "{p}: repaired truncated checkpoint (dropped partial final line)"
-                        );
+                        eprintln!("{p}: repaired truncated checkpoint (dropped uncommitted tail)");
                     }
                     eprintln!("resuming from {p}: {}/{} runs done", ck.next_index, ck.runs);
                     Some(ck)
@@ -495,7 +493,7 @@ fn main() {
             explore_schedules_with(&out.program, cfg, runs, 0xACE, limits, resume.as_ref())
         };
         if let Some(p) = &checkpoint_path {
-            if let Err(e) = write_checkpoint(p, &summary.checkpoint().render()) {
+            if let Err(e) = commitlog::create(p.as_ref(), &summary.checkpoint().render()) {
                 eprintln!("cannot write checkpoint {p}: {e}");
                 std::process::exit(EXIT_ERROR);
             }
@@ -1029,17 +1027,6 @@ fn run_record(
     std::process::exit(0);
 }
 
-fn write_checkpoint(path: &str, rendered: &str) -> std::io::Result<()> {
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_lines(&mut w, rendered)
-}
-
-/// Append one committed block to an existing soak log.
-fn append_log(path: &str, block: &str) -> std::io::Result<()> {
-    let mut w = std::io::BufWriter::new(std::fs::OpenOptions::new().append(true).open(path)?);
-    write_lines(&mut w, block)
-}
-
 fn read_trace(path: &str) -> Vec<u8> {
     std::fs::read(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -1554,7 +1541,7 @@ fn run_chaos(args: Vec<String>) -> ! {
         Mismatch,
         Panicked,
     }
-    let outcomes = run_indexed(jobs, runs, |i| {
+    let outcomes = par::map_indexed(jobs, runs, |i| {
         let plan = FaultPlan::from_seed(seed.wrapping_add(i as u64));
         let ci = i % cases.len();
         let sched_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
@@ -1616,7 +1603,7 @@ fn run_chaos(args: Vec<String>) -> ! {
     // order with the sequential early-exit, keeping the panic tally and
     // the missed list identical to --jobs 1.
     let all_bugs = sipsim::bugs::all_bugs();
-    let bug_results = run_indexed(jobs, all_bugs.len(), |bi| {
+    let bug_results = par::map_indexed(jobs, all_bugs.len(), |bi| {
         let bug = &all_bugs[bi];
         let flat = bug.program.lower();
         let mut attempt_panics: usize = 0;
@@ -1780,10 +1767,11 @@ fn run_soak(args: Vec<String>) -> ! {
     if let Some(path) = &checkpoint_path {
         match std::fs::read_to_string(path) {
             Ok(text) => {
-                let (parsed, repaired) = SoakLog::parse_repair(&text).unwrap_or_else(|e| {
-                    eprintln!("soak: checkpoint {path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
+                let (parsed, committed, repaired) =
+                    SoakLog::parse_repair(&text).unwrap_or_else(|e| {
+                        eprintln!("soak: checkpoint {path}: {e}");
+                        std::process::exit(EXIT_ERROR);
+                    });
                 if parsed.params != log.params {
                     eprintln!(
                         "soak: checkpoint {path} was recorded with different parameters\n  \
@@ -1795,15 +1783,7 @@ fn run_soak(args: Vec<String>) -> ! {
                 if repaired {
                     // The dropped tail was never committed; rewrite the
                     // file to the committed prefix so appends line up.
-                    let mut rendered = parsed.header();
-                    // Committed phases cannot be re-rendered from the
-                    // folded catalogue (hits are merged), so keep the
-                    // original committed bytes instead: everything up to
-                    // the end of the last `phase` line.
-                    if let Some(end) = last_commit_end(&text) {
-                        rendered = text[..end].to_string();
-                    }
-                    if let Err(e) = write_checkpoint(path, &rendered) {
+                    if let Err(e) = commitlog::replace(path.as_ref(), committed) {
                         eprintln!("soak: cannot rewrite {path}: {e}");
                         std::process::exit(EXIT_ERROR);
                     }
@@ -1818,7 +1798,7 @@ fn run_soak(args: Vec<String>) -> ! {
                 log = parsed;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if let Err(e) = write_checkpoint(path, &log.header()) {
+                if let Err(e) = commitlog::create(path.as_ref(), &log.header()) {
                     eprintln!("soak: cannot write {path}: {e}");
                     std::process::exit(EXIT_ERROR);
                 }
@@ -1836,14 +1816,14 @@ fn run_soak(args: Vec<String>) -> ! {
     let mut phase = log.next_phase();
     while phase < spec.phases {
         let chunk = jobs.min((spec.phases - phase) as usize);
-        let outcomes = run_indexed(jobs, chunk, |i| {
+        let outcomes = par::map_indexed(jobs, chunk, |i| {
             let det =
                 AnyDetector::by_name(&detector_name, cfg, helgrind_core::SuppressionSet::new());
             run_phase_in(&spec, phase + i as u32, Some(det), use_filter, max_slots, vm_mode)
         });
         for out in outcomes {
             if let Some(path) = &checkpoint_path {
-                if let Err(e) = append_log(path, &SoakLog::phase_block(&out)) {
+                if let Err(e) = commitlog::append(path.as_ref(), &SoakLog::phase_block(&out)) {
                     eprintln!("soak: cannot append to {path}: {e}");
                     std::process::exit(EXIT_ERROR);
                 }
@@ -1879,58 +1859,6 @@ fn run_soak(args: Vec<String>) -> ! {
         std::process::exit(EXIT_ERROR);
     }
     std::process::exit(if log.catalogue.is_empty() && !deadlocked { 0 } else { EXIT_FINDINGS });
-}
-
-/// Byte offset just past the final committed `phase` line of a soak log
-/// (i.e. past its newline), or `None` if nothing is committed.
-fn last_commit_end(text: &str) -> Option<usize> {
-    let mut end = None;
-    let mut pos = 0;
-    for line in text.split_inclusive('\n') {
-        if line.starts_with("phase ") && line.ends_with('\n') {
-            end = Some(pos + line.len());
-        }
-        pos += line.len();
-    }
-    end
-}
-
-/// Run `n` independent jobs on a scoped worker pool and return the results
-/// in index order. Workers claim indices from a shared counter; because
-/// every job is a pure function of its index, the merged vector — and any
-/// sequential fold over it — is bit-identical to running `(0..n).map(f)`
-/// inline, which is exactly what `jobs <= 1` does.
-fn run_indexed<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(n, || None);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs.min(n))
-            .map(|_| {
-                let (next, f) = (&next, &f);
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, v) in h.join().expect("worker panicked") {
-                out[i] = Some(v);
-            }
-        }
-    });
-    out.into_iter().map(|v| v.expect("all indices claimed")).collect()
 }
 
 /// `raceline bench-snapshot`: measure the §4.5 overhead ladder (native <

@@ -311,7 +311,7 @@ fn explore_checkpoint_round_trips() {
     let (stdout, _, code) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", p]);
     assert_eq!(code, 1, "{stdout}");
     let saved = std::fs::read_to_string(&path).unwrap();
-    assert!(saved.starts_with("raceline-explore-checkpoint v1"), "{saved}");
+    assert!(saved.starts_with("raceline-explore-checkpoint v2"), "{saved}");
 
     // Resuming a finished sweep re-runs nothing and aggregates the same
     // locations and hit counts (report *detail* is summarized to the top

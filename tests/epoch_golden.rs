@@ -4,85 +4,25 @@
 //! Each of the eight evaluation cases T1–T8 is run under all six detector
 //! configurations, once with the adaptive epoch read state and once in
 //! `hb_reference` mode (full vector clocks), and the complete observable
-//! output — termination, the truncation flag, and the rendered report
-//! text — must be byte-identical. A second sweep repeats the matrix under
-//! an aggressive fault-injection plan and a seeded random scheduler, so
-//! the equivalence is exercised off the happy path too (killed threads,
-//! failed allocations, spurious wakeups).
+//! output — termination, run and fault counters, the truncation flag, and
+//! the rendered report text — must be byte-identical. The Eraser rows have
+//! no HB engine, but running them pins that `hb_reference` is a no-op
+//! there. A second sweep repeats the matrix under an aggressive
+//! fault-injection plan and a seeded random scheduler, so the equivalence
+//! is exercised off the happy path too (killed threads, failed
+//! allocations, spurious wakeups).
 //!
 //! Only the stderr-side statistics (`--stats` epoch counters) may differ
 //! between the two runs; nothing here looks at those.
 
-use raceline::helgrind_core::ReportSink;
-use raceline::prelude::*;
-use raceline::sipsim;
-use raceline::vexec::ir::lower::FlatProgram;
-use raceline::vexec::vm::run_flat;
-use raceline::vexec::FaultPlan;
+mod golden;
 
-/// Run one detector over `flat` through the production filtered path and
-/// fold everything the user observes into a single string.
-fn observe<T: Tool>(
-    flat: &FlatProgram,
-    det: T,
-    sink_of: impl Fn(&T) -> &ReportSink,
-    opts: &VmOptions,
-    seed: Option<u64>,
-) -> String {
-    let mut sched: Box<dyn Scheduler> = match seed {
-        Some(s) => Box::new(SeededRandom::new(s)),
-        None => Box::new(RoundRobin::new()),
-    };
-    let mut tool = FilterTool::new(det);
-    let r = run_flat(flat, &mut tool, sched.as_mut(), opts.clone());
-    let det = tool.into_parts().0;
-    let sink = sink_of(&det);
-    let mut out = format!("termination: {:?}\ntruncated: {}\n", r.termination, sink.truncated());
-    for rep in sink.reports() {
-        out.push_str(&rep.render());
-        out.push('\n');
-    }
-    out
-}
-
-/// All six engine configurations against one program; panics on the first
-/// adaptive/reference divergence. The Eraser rows have no HB engine, but
-/// running them pins that `hb_reference` is a no-op there.
-fn assert_six_engines_equivalent(
-    flat: &FlatProgram,
-    opts: &VmOptions,
-    seed: Option<u64>,
-    label: &str,
-) {
-    let reference = |cfg: DetectorConfig| DetectorConfig { hb_reference: true, ..cfg };
-    let eraser_cfgs =
-        [DetectorConfig::original(), DetectorConfig::hwlc(), DetectorConfig::hwlc_dr()];
-    for cfg in eraser_cfgs {
-        let adaptive = observe(flat, EraserDetector::new(cfg), |d| &d.sink, opts, seed);
-        let refr = observe(flat, EraserDetector::new(reference(cfg)), |d| &d.sink, opts, seed);
-        assert_eq!(adaptive, refr, "{label}: eraser {cfg:?} diverged");
-    }
-    {
-        let cfg = DetectorConfig::djit();
-        let adaptive = observe(flat, DjitDetector::new(cfg), |d| &d.sink, opts, seed);
-        let refr = observe(flat, DjitDetector::new(reference(cfg)), |d| &d.sink, opts, seed);
-        assert_eq!(adaptive, refr, "{label}: djit diverged");
-    }
-    for cfg in [DetectorConfig::hybrid(), DetectorConfig::hybrid_queue_hb()] {
-        let adaptive = observe(flat, HybridDetector::new(cfg), |d| &d.sink, opts, seed);
-        let refr = observe(flat, HybridDetector::new(reference(cfg)), |d| &d.sink, opts, seed);
-        assert_eq!(adaptive, refr, "{label}: hybrid {cfg:?} diverged");
-    }
-}
+use golden::{assert_knob_invisible, Knob};
 
 /// T1–T8 × 6 engines, clean deterministic schedule.
 #[test]
 fn t1_t8_adaptive_and_reference_are_byte_identical() {
-    for case in sipsim::testcases() {
-        let built = case.build();
-        let flat = built.program.lower();
-        assert_six_engines_equivalent(&flat, &VmOptions::default(), None, case.name);
-    }
+    assert_knob_invisible(Knob::HbReference(false), Knob::HbReference(true), false);
 }
 
 /// T1–T8 × 6 engines under fault injection and a randomized schedule:
@@ -91,20 +31,5 @@ fn t1_t8_adaptive_and_reference_are_byte_identical() {
 /// errors.
 #[test]
 fn t1_t8_adaptive_and_reference_are_byte_identical_under_faults() {
-    let opts = VmOptions {
-        faults: Some(FaultPlan {
-            seed: 11,
-            wakeup_permille: 120,
-            lockfail_permille: 60,
-            allocfail_permille: 25,
-            kill_permille: 8,
-            max_kills: 2,
-        }),
-        ..VmOptions::default()
-    };
-    for (i, case) in sipsim::testcases().into_iter().enumerate() {
-        let built = case.build();
-        let flat = built.program.lower();
-        assert_six_engines_equivalent(&flat, &opts, Some(0xC0FFEE + i as u64), case.name);
-    }
+    assert_knob_invisible(Knob::HbReference(false), Knob::HbReference(true), true);
 }

@@ -2,91 +2,24 @@
 //! be invisible in every report a user can read.
 //!
 //! Each of the eight evaluation cases T1–T8 is run under all six detector
-//! configurations, once through [`FilterTool`] and once bare, and the
-//! complete observable output — termination, the truncation flag, and the
-//! rendered report text — must be byte-identical. A second sweep repeats
-//! the whole matrix under an aggressive fault-injection plan and a seeded
-//! random scheduler, so the equivalence is exercised off the happy path
-//! too (killed threads, failed allocations, spurious wakeups).
+//! configurations, once through the filter and once bare, and the complete
+//! observable output — termination, run and fault counters, the truncation
+//! flag, and the rendered report text — must be byte-identical. A second
+//! sweep repeats the whole matrix under an aggressive fault-injection plan
+//! and a seeded random scheduler, so the equivalence is exercised off the
+//! happy path too (killed threads, failed allocations, spurious wakeups).
 //!
 //! Only the stderr-side statistics (`--stats`) may differ between the two
 //! runs; nothing here looks at those.
 
-use raceline::helgrind_core::ReportSink;
-use raceline::prelude::*;
-use raceline::sipsim;
-use raceline::vexec::ir::lower::FlatProgram;
-use raceline::vexec::vm::run_flat;
-use raceline::vexec::FaultPlan;
+mod golden;
 
-/// Run one detector over `flat`, optionally through the filter, and fold
-/// everything the user observes into a single string for byte comparison.
-fn observe<T: Tool>(
-    flat: &FlatProgram,
-    det: T,
-    sink_of: impl Fn(&T) -> &ReportSink,
-    opts: &VmOptions,
-    seed: Option<u64>,
-    filtered: bool,
-) -> String {
-    let mut sched: Box<dyn Scheduler> = match seed {
-        Some(s) => Box::new(SeededRandom::new(s)),
-        None => Box::new(RoundRobin::new()),
-    };
-    let (r, det) = if filtered {
-        let mut tool = FilterTool::new(det);
-        let r = run_flat(flat, &mut tool, sched.as_mut(), opts.clone());
-        (r, tool.into_parts().0)
-    } else {
-        let mut det = det;
-        let r = run_flat(flat, &mut det, sched.as_mut(), opts.clone());
-        (r, det)
-    };
-    let sink = sink_of(&det);
-    let mut out = format!("termination: {:?}\ntruncated: {}\n", r.termination, sink.truncated());
-    for rep in sink.reports() {
-        out.push_str(&rep.render());
-        out.push('\n');
-    }
-    out
-}
-
-/// All six engine configurations against one program; panics on the first
-/// filtered/unfiltered divergence.
-fn assert_six_engines_equivalent(
-    flat: &FlatProgram,
-    opts: &VmOptions,
-    seed: Option<u64>,
-    label: &str,
-) {
-    let eraser_cfgs =
-        [DetectorConfig::original(), DetectorConfig::hwlc(), DetectorConfig::hwlc_dr()];
-    for cfg in eraser_cfgs {
-        let on = observe(flat, EraserDetector::new(cfg), |d| &d.sink, opts, seed, true);
-        let off = observe(flat, EraserDetector::new(cfg), |d| &d.sink, opts, seed, false);
-        assert_eq!(on, off, "{label}: eraser {cfg:?} diverged");
-    }
-    {
-        let cfg = DetectorConfig::djit();
-        let on = observe(flat, DjitDetector::new(cfg), |d| &d.sink, opts, seed, true);
-        let off = observe(flat, DjitDetector::new(cfg), |d| &d.sink, opts, seed, false);
-        assert_eq!(on, off, "{label}: djit diverged");
-    }
-    for cfg in [DetectorConfig::hybrid(), DetectorConfig::hybrid_queue_hb()] {
-        let on = observe(flat, HybridDetector::new(cfg), |d| &d.sink, opts, seed, true);
-        let off = observe(flat, HybridDetector::new(cfg), |d| &d.sink, opts, seed, false);
-        assert_eq!(on, off, "{label}: hybrid {cfg:?} diverged");
-    }
-}
+use golden::{assert_knob_invisible, Knob};
 
 /// T1–T8 × 6 engines, clean deterministic schedule.
 #[test]
 fn t1_t8_filtered_runs_are_byte_identical() {
-    for case in sipsim::testcases() {
-        let built = case.build();
-        let flat = built.program.lower();
-        assert_six_engines_equivalent(&flat, &VmOptions::default(), None, case.name);
-    }
+    assert_knob_invisible(Knob::Filter(true), Knob::Filter(false), false);
 }
 
 /// T1–T8 × 6 engines under fault injection and a randomized schedule:
@@ -95,20 +28,5 @@ fn t1_t8_filtered_runs_are_byte_identical() {
 /// errors.
 #[test]
 fn t1_t8_filtered_runs_are_byte_identical_under_faults() {
-    let opts = VmOptions {
-        faults: Some(FaultPlan {
-            seed: 11,
-            wakeup_permille: 120,
-            lockfail_permille: 60,
-            allocfail_permille: 25,
-            kill_permille: 8,
-            max_kills: 2,
-        }),
-        ..VmOptions::default()
-    };
-    for (i, case) in sipsim::testcases().into_iter().enumerate() {
-        let built = case.build();
-        let flat = built.program.lower();
-        assert_six_engines_equivalent(&flat, &opts, Some(0xC0FFEE + i as u64), case.name);
-    }
+    assert_knob_invisible(Knob::Filter(true), Knob::Filter(false), true);
 }

@@ -5,104 +5,27 @@
 //! configurations, once on the compiled bytecode core and once on the
 //! tree-walking reference interpreter (`--vm-reference`), and the complete
 //! observable output — termination, the truncation flag, the rendered
-//! report text, and the run counters the trace footer persists — must be
-//! byte-identical. A second sweep repeats the matrix under an aggressive
-//! fault-injection plan and a seeded random scheduler, so the equivalence
-//! is exercised off the happy path too (killed threads, failed
-//! allocations, spurious wakeups). A third sweep pins the chaos harness
-//! fingerprint — an FNV-1a hash over termination, every report, and the
-//! injector counters — across both cores.
+//! report text, and the slot/event/op/thread/alloc counters the trace
+//! footer and soak log persist — must be byte-identical. A second sweep
+//! repeats the matrix under an aggressive fault-injection plan and a
+//! seeded random scheduler, so the equivalence is exercised off the happy
+//! path too (killed threads, failed allocations, spurious wakeups). A
+//! third sweep pins the chaos harness fingerprint — an FNV-1a hash over
+//! termination, every report, and the injector counters — across both
+//! cores.
 //!
 //! Only the stderr-side statistics (`--stats` interp counters) may differ
 //! between the two runs; nothing here looks at those.
 
-use raceline::helgrind_core::ReportSink;
-use raceline::prelude::*;
-use raceline::sipsim;
-use raceline::vexec::ir::lower::FlatProgram;
-use raceline::vexec::vm::{run_flat, VmMode};
-use raceline::vexec::FaultPlan;
+mod golden;
 
-/// Run one detector over `flat` through the production filtered path and
-/// fold everything the user observes into a single string. The slot/op
-/// counters ride along: they feed the trace footer and the soak log, so
-/// the compiled core must reproduce them exactly, not just the reports.
-fn observe<T: Tool>(
-    flat: &FlatProgram,
-    det: T,
-    sink_of: impl Fn(&T) -> &ReportSink,
-    opts: &VmOptions,
-    seed: Option<u64>,
-    mode: VmMode,
-) -> String {
-    let mut sched: Box<dyn Scheduler> = match seed {
-        Some(s) => Box::new(SeededRandom::new(s)),
-        None => Box::new(RoundRobin::new()),
-    };
-    let mut tool = FilterTool::new(det);
-    let opts = VmOptions { mode, ..opts.clone() };
-    let r = run_flat(flat, &mut tool, sched.as_mut(), opts);
-    let det = tool.into_parts().0;
-    let sink = sink_of(&det);
-    let mut out = format!(
-        "termination: {:?}\ntruncated: {}\nslots: {} events: {} ops: {} threads: {} allocs: {}\n",
-        r.termination,
-        sink.truncated(),
-        r.stats.slots,
-        r.stats.events,
-        r.stats.ops,
-        r.stats.threads_created,
-        r.stats.allocs
-    );
-    for rep in sink.reports() {
-        out.push_str(&rep.render());
-        out.push('\n');
-    }
-    out
-}
-
-/// All six engine configurations against one program; panics on the first
-/// compiled/reference divergence.
-fn assert_six_engines_equivalent(
-    flat: &FlatProgram,
-    opts: &VmOptions,
-    seed: Option<u64>,
-    label: &str,
-) {
-    let eraser_cfgs =
-        [DetectorConfig::original(), DetectorConfig::hwlc(), DetectorConfig::hwlc_dr()];
-    for cfg in eraser_cfgs {
-        let compiled =
-            observe(flat, EraserDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Compiled);
-        let refr =
-            observe(flat, EraserDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Reference);
-        assert_eq!(compiled, refr, "{label}: eraser {cfg:?} diverged");
-    }
-    {
-        let cfg = DetectorConfig::djit();
-        let compiled =
-            observe(flat, DjitDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Compiled);
-        let refr =
-            observe(flat, DjitDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Reference);
-        assert_eq!(compiled, refr, "{label}: djit diverged");
-    }
-    for cfg in [DetectorConfig::hybrid(), DetectorConfig::hybrid_queue_hb()] {
-        let compiled =
-            observe(flat, HybridDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Compiled);
-        let refr =
-            observe(flat, HybridDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Reference);
-        assert_eq!(compiled, refr, "{label}: hybrid {cfg:?} diverged");
-    }
-}
+use golden::{assert_knob_invisible, chaos_sweep, Knob};
+use raceline::vexec::vm::VmMode;
 
 /// T1–T8 × 6 engines, clean deterministic schedule.
 #[test]
 fn t1_t8_compiled_and_reference_are_byte_identical() {
-    for case in sipsim::testcases() {
-        let built = case.build();
-        let flat = built.program.lower();
-        assert_six_engines_equivalent(&flat, &VmOptions::default(), None, case.name);
-    }
+    assert_knob_invisible(Knob::Vm(VmMode::Compiled), Knob::Vm(VmMode::Reference), false);
 }
 
 /// T1–T8 × 6 engines under fault injection and a randomized schedule:
@@ -113,22 +36,7 @@ fn t1_t8_compiled_and_reference_are_byte_identical() {
 /// change which faults fire and show up here immediately.
 #[test]
 fn t1_t8_compiled_and_reference_are_byte_identical_under_faults() {
-    let opts = VmOptions {
-        faults: Some(FaultPlan {
-            seed: 11,
-            wakeup_permille: 120,
-            lockfail_permille: 60,
-            allocfail_permille: 25,
-            kill_permille: 8,
-            max_kills: 2,
-        }),
-        ..VmOptions::default()
-    };
-    for (i, case) in sipsim::testcases().into_iter().enumerate() {
-        let built = case.build();
-        let flat = built.program.lower();
-        assert_six_engines_equivalent(&flat, &opts, Some(0xC0FFEE + i as u64), case.name);
-    }
+    assert_knob_invisible(Knob::Vm(VmMode::Compiled), Knob::Vm(VmMode::Reference), true);
 }
 
 /// Chaos harness fingerprints pin the full outcome (termination, reports,
@@ -136,37 +44,12 @@ fn t1_t8_compiled_and_reference_are_byte_identical_under_faults() {
 /// same invariance the `chaos` CLI gate checks over full sweeps.
 #[test]
 fn chaos_fingerprints_are_core_invariant() {
-    let cfg = DetectorConfig::hwlc_dr();
-    for (i, case) in sipsim::testcases().into_iter().enumerate() {
-        let built = case.build();
-        for p in 0..4u64 {
-            let plan = FaultPlan::from_seed(0xFACE + i as u64 * 13 + p);
-            let sched_seed = 0xBEEF ^ (i as u64) << 8 | p;
-            let compiled = sipsim::run_case_chaos_in(
-                &built,
-                cfg,
-                plan,
-                sched_seed,
-                None,
-                true,
-                VmMode::Compiled,
-            );
-            let reference = sipsim::run_case_chaos_in(
-                &built,
-                cfg,
-                plan,
-                sched_seed,
-                None,
-                true,
-                VmMode::Reference,
-            );
-            assert_eq!(
-                compiled.fingerprint, reference.fingerprint,
-                "{}: chaos fingerprint diverged (plan {p}, seed {sched_seed:#x})",
-                case.name
-            );
-            assert_eq!(compiled.real_hits, reference.real_hits, "{}: real hits", case.name);
-            assert_eq!(compiled.locations, reference.locations, "{}: locations", case.name);
-        }
+    let compiled = chaos_sweep(VmMode::Compiled);
+    let reference = chaos_sweep(VmMode::Reference);
+    for ((label, c), (_, r)) in compiled.iter().zip(&reference) {
+        assert_eq!(c.fingerprint, r.fingerprint, "{label}: chaos fingerprint diverged");
+        assert_eq!(c.real_hits, r.real_hits, "{label}: real hits");
+        assert_eq!(c.locations, r.locations, "{label}: locations");
     }
+    assert_eq!(compiled.len(), reference.len());
 }

@@ -12,18 +12,17 @@
 //! On a mismatch the assertion prints the digest the tree now produces;
 //! only replace a constant when the output change is intended.
 
+mod golden;
+
+use golden::{chaos_sweep, for_each_run, observe, Knob};
 use raceline::helgrind_core::AnyDetector;
 use raceline::prelude::*;
 use raceline::sipsim::{self, SoakLog, SoakSpec};
-use raceline::vexec::ir::lower::FlatProgram;
-use raceline::vexec::vm::{run_flat, VmMode};
-use raceline::vexec::FaultPlan;
-
-const PRESETS: [&str; 6] = ["original", "hwlc", "hwlc-dr", "djit", "hybrid", "hybrid-queue"];
+use raceline::vexec::vm::VmMode;
 
 /// T1–T8 × six presets, RoundRobin, no faults.
 const T1_T8_ROUND_ROBIN: u64 = 0x6d48_9393_6607_fb28;
-/// T1–T8 × six presets, [`fault_plan`] under SeededRandom.
+/// T1–T8 × six presets, [`golden::fault_plan`] under SeededRandom.
 const T1_T8_FAULTED: u64 = 0x5c1e_13a1_16f7_efca;
 /// Soak phases 0–3 under `hybrid`: every report plus the log block.
 const SOAK_PHASES_0_3: u64 = 0x5298_769d_1fd9_f76c;
@@ -40,68 +39,26 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fault_plan() -> FaultPlan {
-    FaultPlan {
-        seed: 11,
-        wakeup_permille: 120,
-        lockfail_permille: 60,
-        allocfail_permille: 25,
-        kill_permille: 8,
-        max_kills: 2,
-    }
-}
-
-/// Everything one filtered run shows a user: termination, run and fault
-/// counters, the truncation flag and every rendered report.
-fn observe(name: &str, flat: &FlatProgram, opts: &VmOptions, seed: Option<u64>) -> String {
-    let cfg = DetectorConfig::by_name(name).unwrap();
-    let det = AnyDetector::by_name(name, cfg, SuppressionSet::new());
-    let mut sched: Box<dyn Scheduler> = match seed {
-        Some(s) => Box::new(SeededRandom::new(s)),
-        None => Box::new(RoundRobin::new()),
-    };
-    let mut tool = FilterTool::new(det);
-    let r = run_flat(flat, &mut tool, sched.as_mut(), opts.clone());
-    let mut det = tool.into_parts().0;
-    let mut out = format!(
-        "{name}\ntermination: {:?}\ntruncated: {}\nslots: {} events: {} ops: {} faults: {:?}\n",
-        r.termination,
-        det.truncated(),
-        r.stats.slots,
-        r.stats.events,
-        r.stats.ops,
-        r.faults,
-    );
-    for rep in det.take_reports() {
-        out.push_str(&rep.render());
-        out.push('\n');
-    }
-    out
-}
-
-fn t1_t8_digest(opts: &VmOptions, seeded: bool) -> u64 {
+/// Digest of the production setting's [`observe`] text over T1–T8 × six
+/// presets.
+fn t1_t8_digest(faulted: bool) -> u64 {
     let mut h = FNV_OFFSET;
-    for (i, case) in sipsim::testcases().into_iter().enumerate() {
-        let flat = case.build().program.lower();
-        let seed = seeded.then_some(0xC0FFEE + i as u64);
-        for name in PRESETS {
-            fnv1a(&mut h, case.name.as_bytes());
-            fnv1a(&mut h, observe(name, &flat, opts, seed).as_bytes());
-        }
-    }
+    for_each_run(faulted, |case, name, flat, opts, seed| {
+        fnv1a(&mut h, case.as_bytes());
+        fnv1a(&mut h, observe(name, flat, opts, seed, Knob::Filter(true)).0.as_bytes());
+    });
     h
 }
 
 #[test]
 fn t1_t8_reports_match_the_pinned_digest() {
-    let got = t1_t8_digest(&VmOptions::default(), false);
+    let got = t1_t8_digest(false);
     assert_eq!(got, T1_T8_ROUND_ROBIN, "round-robin digest is now {got:#018x}");
 }
 
 #[test]
 fn t1_t8_reports_under_faults_match_the_pinned_digest() {
-    let opts = VmOptions { faults: Some(fault_plan()), ..VmOptions::default() };
-    let got = t1_t8_digest(&opts, true);
+    let got = t1_t8_digest(true);
     assert_eq!(got, T1_T8_FAULTED, "faulted digest is now {got:#018x}");
 }
 
@@ -122,24 +79,9 @@ fn soak_phases_match_the_pinned_digest() {
 
 #[test]
 fn chaos_fingerprints_match_the_pinned_digest() {
-    let cfg = DetectorConfig::hwlc_dr();
     let mut h = FNV_OFFSET;
-    for (i, case) in sipsim::testcases().into_iter().enumerate() {
-        let built = case.build();
-        for p in 0..4u64 {
-            let plan = FaultPlan::from_seed(0xFACE + i as u64 * 13 + p);
-            let sched_seed = 0xBEEF ^ (i as u64) << 8 | p;
-            let out = sipsim::run_case_chaos_in(
-                &built,
-                cfg,
-                plan,
-                sched_seed,
-                None,
-                true,
-                VmMode::Compiled,
-            );
-            fnv1a(&mut h, &out.fingerprint.to_le_bytes());
-        }
+    for (_, out) in chaos_sweep(VmMode::Compiled) {
+        fnv1a(&mut h, &out.fingerprint.to_le_bytes());
     }
     assert_eq!(h, CHAOS_FINGERPRINTS, "chaos digest is now {h:#018x}");
 }

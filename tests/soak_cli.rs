@@ -190,6 +190,33 @@ fn explore_checkpoint_crash_mid_write_resumes_identically() {
     assert_eq!(stdout, ref_out, "post-resume summary matches the uninterrupted sweep");
 }
 
+/// A save torn at any line past the magic resumes to the uninterrupted
+/// sweep. Counters render after the `loc` lines and `next_index` commits
+/// last, so a torn `loc` line never resumes with its description cut off,
+/// and a save cut between records never resumes with locations missing.
+#[test]
+fn explore_checkpoint_torn_at_every_line_resumes_identically() {
+    let (ref_out, _, ref_code) = raceline(&["check", SAMPLE, "--explore", "6"]);
+    let full = tmp("explore_every_line.full");
+    let _ = std::fs::remove_file(&full);
+    let (_, stderr, _) =
+        raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", full.to_str().unwrap()]);
+    let lines = std::fs::read_to_string(&full).expect(&stderr).lines().count();
+    assert!(lines > 3, "a checkpoint with locations to tear");
+    for n in 1..lines {
+        let ck = tmp(&format!("explore_every_line.{n}"));
+        let _ = std::fs::remove_file(&ck);
+        let args = ["check", SAMPLE, "--explore", "6", "--checkpoint", ck.to_str().unwrap()];
+        let (_, stderr, code) =
+            raceline_env(&args, &[("RACELINE_TEST_TORN_WRITE", &n.to_string())]);
+        assert_eq!(code, 42, "line {n}: torn write must crash the save\n{stderr}");
+        let (stdout, stderr, code) = raceline(&args);
+        assert_eq!(code, ref_code, "line {n}: {stderr}");
+        assert_eq!(stdout, ref_out, "line {n}: resumed sweep must match the uninterrupted one");
+        let _ = std::fs::remove_file(&ck);
+    }
+}
+
 /// `analyze --repair` on a crash-truncated trace: strict mode refuses,
 /// repair mode analyzes the intact prefix and says what it dropped.
 #[test]
