@@ -1,2551 +1,10 @@
 //! `raceline` — check a mini-C++ program for races and deadlocks, the way
 //! the paper's debugging process (Fig 3) runs a server under Helgrind.
 //!
-//! ```text
-//! raceline check app.mcpp [lib.mcpp ...] [options]
-//! raceline record app.mcpp [lib.mcpp ...] [--out <trace.rltrace>] [options]
-//! raceline record --case T1 [--out <trace.rltrace>] [options]
-//! raceline analyze trace.rltrace [--detector <name>] [--jobs <n>] [options]
-//! raceline trace-diff old.rltrace new.rltrace [--detector <name>] [--json]
-//! raceline serve --listen <addr> --spool <dir> [--detector <name>] [--jobs <n>]
-//! raceline serve --fold [--detector <name>] <build>=<trace.rltrace>...
-//! raceline client --connect <addr> <submit|query|diff|suppress|stats|ping|shutdown> ...
-//! raceline lint  app.mcpp [lib.mcpp ...] [--raw <file>] [--json]
-//! raceline chaos [--runs <n>] [--seed <s>] [--cases T1,T3] [--jobs <n>] [options]
-//! raceline bench-snapshot [--out <file>] [--samples <n>] [--quick] [--trace] [--soak] [--serve]
-//!
-//! check options:
-//!   --detector original|hwlc|hwlc-dr|djit|hybrid|hybrid-queue   (default hwlc-dr)
-//!   --schedule rr|random:<seed>|pct:<seed>:<depth>              (default rr)
-//!   --raw <file>            compile <file> without instrumentation
-//!                           (third-party source, §3.1)
-//!   --suppressions <file>   load a Valgrind-style suppression file
-//!   --gen-suppressions      print a suppression entry for each warning
-//!   --explore <n>           run under <n> random schedules and aggregate
-//!   --jobs <n>              (with --explore) spread the sweep over <n>
-//!                           worker threads; the summary, checkpoint and
-//!                           exit code are bit-identical to --jobs 1
-//!   --checkpoint <file>     (with --explore) resume from/save a sweep
-//!                           checkpoint
-//!   --faults <spec>         inject faults, e.g. seed=7,wakeup=20,kill=1
-//!                           (keys: seed wakeup lockfail allocfail kill
-//!                           max-kills, rates in permille)
-//!   --budget <spec>         cap detector state, e.g.
-//!                           shadow=10000,locksets=256,reports=64,slots=200000
-//!                           (keys: shadow locksets reports slots
-//!                           total-slots — the last is the --explore
-//!                           watchdog); capped runs degrade and set
-//!                           truncated/timed_out flags instead of aborting
-//!   --no-filter             disable the redundant-access filter cache
-//!                           (reports are identical either way; the filter
-//!                           only saves time — also valid for record,
-//!                           --explore and chaos)
-//!   --stats                 print per-engine access counts, filter hit
-//!                           rate, epoch-representation counters and
-//!                           shadow-overflow counters to stderr
-//!                           (also valid for analyze; stdout is unchanged)
-//!   --hb-reference          run the HB engines on the reference full-VC
-//!                           read state instead of the adaptive FastTrack
-//!                           epoch lattice (reports are identical; the
-//!                           epoch-equivalence gates pin it — also valid
-//!                           for analyze, chaos and soak)
-//!   --vm-reference          run the guest on the tree-walking reference
-//!                           interpreter instead of the compiled operand-
-//!                           specialized bytecode (output is byte-identical;
-//!                           the interp-equivalence gates pin it — also
-//!                           valid for record, --explore, chaos and soak)
-//!   --static-cross-check    also run the static analysis and label each
-//!                           finding confirmed-both / static-only /
-//!                           dynamic-only (joined by kind, file, line; an
-//!                           escaping-guarded-ref finding is confirmed when
-//!                           a dynamic race lands on one of its recorded
-//!                           post-release use sites)
-//!   --directed              (with --explore and --static-cross-check)
-//!                           spend the first schedules on probes that
-//!                           preempt at each static finding's release/use
-//!                           window — escape findings first, then static
-//!                           races — before falling back to the seeded
-//!                           sweep; still bit-identical across --jobs N
-//!   --json                  machine-readable output
-//!   --emit-annotated        print the annotated source (Fig 4 view)
-//!   --emit-ir               print the lowered guest IR (disassembly)
-//!
-//! Exit codes: 0 = ran clean, 1 = findings reported, 2 = tool or guest
-//! error (unreadable input, compile error, bad usage, guest fault).
-//! ```
-
-use helgrind_core::explore::{
-    explore_schedules_directed, explore_schedules_with, DirectedTarget, ExploreCheckpoint,
-    ExploreLimits,
-};
-use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint, ReplayDetector};
-use helgrind_core::{commitlog, par, ReportKind};
-use helgrind_core::{
-    BudgetSpec, DetectorConfig, DjitDetector, EraserDetector, HybridDetector, Report, Suppression,
-    SuppressionSet,
-};
-use minicpp::analysis::escape::EscapeFinding;
-use minicpp::pipeline::{run_pipeline, SourceFile};
-use raceline_trace::format::{TraceFaultStats, TraceTermination};
-use raceline_trace::writer::TraceWriter;
-use raceline_warehouse::{
-    client as wclient, render_diff_json, server as wserver, DiffEntry, Service, ServiceConfig,
-    WarehouseLog,
-};
-use serde::{Serialize, Value};
-use std::collections::{BTreeMap, BTreeSet};
-use vexec::faults::{parse_u64, FaultPlan, FaultStats};
-use vexec::filter::{FilterStats, FilterTool};
-use vexec::ir::lower::FlatProgram;
-use vexec::sched::{Pct, RoundRobin, Scheduler, SeededRandom};
-use vexec::tool::Tool;
-use vexec::vm::{run_flat, BlockOn, RunResult, RunStats, Termination, VmMode, VmOptions};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: raceline check <file.mcpp>... [--raw <file.mcpp>]... \
-         [--detector original|hwlc|hwlc-dr|djit|hybrid|hybrid-queue] \
-         [--schedule rr|random:<seed>|pct:<seed>:<depth>] \
-         [--suppressions <file>] [--gen-suppressions] [--explore <n>] \
-         [--checkpoint <file>] [--faults <spec>] [--budget <spec>] \
-         [--jobs <n>] [--static-cross-check] [--directed] [--no-filter] [--hb-reference] \
-         [--vm-reference] [--stats] [--json] [--emit-annotated] [--emit-ir]\n\
-         \x20      raceline record <file.mcpp>... [--out <trace.rltrace>] \
-         [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] \
-         [--no-filter] [--vm-reference] [--stats]\n\
-         \x20      raceline analyze <trace.rltrace> [--detector <name>] [--jobs <n>] \
-         [--from-epoch <k>] [--suppressions <file>] [--gen-suppressions] [--budget <spec>] \
-         [--repair] [--hb-reference] [--stats] [--json]\n\
-         \x20      raceline soak [--dialogs <n>] [--phases <n>] [--seed <s>] [--workers <n>] \
-         [--resize <n>] [--hops <n>] [--churn <permille>] [--options <permille>] \
-         [--reinvites <n>] [--kill <permille>] [--max-kills <n>] [--no-reclaim] \
-         [--detector <name>] [--budget <spec>] [--jobs <n>] [--checkpoint <file>] \
-         [--max-slots <n>] [--no-filter] [--hb-reference] [--vm-reference] [--mem-report]\n\
-         \x20      raceline trace-diff <old.rltrace> <new.rltrace> [--detector <name>] \
-         [--detector-a <name>] [--detector-b <name>] [--jobs <n>] [--json]\n\
-         \x20      raceline serve --listen <addr> --spool <dir> [--detector <name>] \
-         [--jobs <n>] [--hb-reference]\n\
-         \x20      raceline serve --fold [--detector <name>] [--hb-reference] \
-         <build>=<trace.rltrace>...\n\
-         \x20      raceline client --connect <addr> submit --build <n> <trace.rltrace>\n\
-         \x20      raceline client --connect <addr> query|stats|ping|shutdown\n\
-         \x20      raceline client --connect <addr> diff --a <build> --b <build>\n\
-         \x20      raceline client --connect <addr> suppress <fingerprint> [--off]\n\
-         \x20      raceline lint <file.mcpp>... [--raw <file.mcpp>]... [--json]\n\
-         \x20      raceline chaos [--runs <n>] [--seed <s>] [--cases T1,T3,...] \
-         [--detector <name>] [--max-slots <n>] [--jobs <n>] [--no-filter] \
-         [--hb-reference] [--vm-reference] [--json]\n\
-         \x20      raceline bench-snapshot [--out <file>] [--samples <n>] [--quick] [--trace] \
-         [--soak] [--serve]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_detector(s: &str) -> DetectorConfig {
-    DetectorConfig::by_name(s).unwrap_or_else(|| {
-        eprintln!("unknown detector: {s}");
-        usage()
-    })
-}
-
-fn parse_schedule(s: &str) -> Box<dyn Scheduler> {
-    if s == "rr" {
-        return Box::new(RoundRobin::new());
-    }
-    if let Some(seed) = s.strip_prefix("random:") {
-        let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
-        return Box::new(SeededRandom::new(seed));
-    }
-    if let Some(rest) = s.strip_prefix("pct:") {
-        let mut it = rest.split(':');
-        let seed: u64 = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-        let depth: u32 = it.next().and_then(|x| x.parse().ok()).unwrap_or(2);
-        return Box::new(Pct::new(seed, depth, 10_000));
-    }
-    eprintln!("unknown schedule: {s}");
-    usage()
-}
-
-// Exit-code contract: 0 = ran clean, 1 = findings, 2 = tool/guest error.
-const EXIT_FINDINGS: i32 = 1;
-const EXIT_ERROR: i32 = 2;
-
-fn read_source(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    })
-}
-
-/// The (kind, file, line) key the static/dynamic join uses.
-fn join_key(r: &Report) -> (String, String, u32) {
-    (r.kind.name().to_string(), r.file.clone(), r.line)
-}
-
-fn reports_json(reports: &[Report]) -> Value {
-    Value::Array(reports.iter().map(|r| r.to_value()).collect())
-}
-
-/// Probe targets for `--directed`, most promising first: each escape
-/// finding's release sites (the window the probe preempts into), then the
-/// locations of the static race findings themselves.
-fn directed_targets(stat: &minicpp::analysis::AnalysisResult) -> Vec<DirectedTarget> {
-    let mut targets: Vec<DirectedTarget> = Vec::new();
-    for e in &stat.escapes {
-        if e.release_sites.is_empty() {
-            targets.push(DirectedTarget { file: e.file.clone(), line: e.line });
-        }
-        for rs in &e.release_sites {
-            targets.push(DirectedTarget { file: rs.file.clone(), line: rs.line });
-        }
-    }
-    let mut races: Vec<DirectedTarget> = stat
-        .reports
-        .iter()
-        .filter(|r| matches!(r.kind, ReportKind::RaceRead | ReportKind::RaceWrite))
-        .map(|r| DirectedTarget { file: r.file.clone(), line: r.line })
-        .collect();
-    races.sort();
-    races.dedup();
-    targets.extend(races);
-    // Keep first occurrence (escape release sites outrank race locations).
-    let mut seen = BTreeSet::new();
-    targets.retain(|t| seen.insert(t.clone()));
-    targets
-}
-
-/// An escape finding is dynamically confirmed when some explored schedule
-/// reported a warning at one of its post-release use sites.
-fn escape_confirmed(
-    r: &Report,
-    escapes: &[EscapeFinding],
-    dyn_lines: &BTreeSet<(String, u32)>,
-) -> bool {
-    r.kind == ReportKind::EscapingGuardedRef
-        && escapes.iter().any(|e| {
-            e.file == r.file
-                && e.line == r.line
-                && e.use_sites.iter().any(|u| dyn_lines.contains(&(u.file.clone(), u.line)))
-        })
-}
-
-fn escapes_json(escapes: &[EscapeFinding], dyn_lines: &BTreeSet<(String, u32)>) -> Value {
-    let site = |s: &minicpp::analysis::escape::SiteRef| {
-        Value::Object(vec![
-            ("func".to_string(), Value::Str(s.func.clone())),
-            ("file".to_string(), Value::Str(s.file.clone())),
-            ("line".to_string(), Value::UInt(u64::from(s.line))),
-        ])
-    };
-    Value::Array(
-        escapes
-            .iter()
-            .map(|e| {
-                let confirmed =
-                    e.use_sites.iter().any(|u| dyn_lines.contains(&(u.file.clone(), u.line)));
-                Value::Object(vec![
-                    ("kind".to_string(), Value::Str("EscapingGuardedRef".to_string())),
-                    ("func".to_string(), Value::Str(e.func.clone())),
-                    ("file".to_string(), Value::Str(e.file.clone())),
-                    ("line".to_string(), Value::UInt(u64::from(e.line))),
-                    (
-                        "locks".to_string(),
-                        Value::Array(e.locks.iter().map(|l| Value::Str(l.clone())).collect()),
-                    ),
-                    ("route".to_string(), Value::Str(e.route.clone())),
-                    ("source".to_string(), Value::Str(e.source.clone())),
-                    (
-                        "release_sites".to_string(),
-                        Value::Array(e.release_sites.iter().map(site).collect()),
-                    ),
-                    ("use_sites".to_string(), Value::Array(e.use_sites.iter().map(site).collect())),
-                    ("confirmed".to_string(), Value::Bool(confirmed)),
-                ])
-            })
-            .collect(),
-    )
-}
+//! Every subcommand lives in [`raceline::cmd`]; run `raceline` with no
+//! arguments for the usage text, which is rendered from the option table
+//! [`raceline::cmd::FLAGS`].
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let cmd = match args.next().as_deref() {
-        Some("check") => "check",
-        Some("lint") => "lint",
-        Some("record") => "record",
-        Some("analyze") => {
-            run_analyze(args.collect());
-        }
-        Some("trace-diff") => {
-            run_trace_diff(args.collect());
-        }
-        Some("chaos") => {
-            run_chaos(args.collect());
-        }
-        Some("soak") => {
-            run_soak(args.collect());
-        }
-        Some("bench-snapshot") => {
-            run_bench_snapshot(args.collect());
-        }
-        Some("serve") => {
-            run_serve(args.collect());
-        }
-        Some("client") => {
-            run_client(args.collect());
-        }
-        _ => usage(),
-    };
-
-    let mut files: Vec<SourceFile> = Vec::new();
-    let mut detector_name = "hwlc-dr".to_string();
-    let mut schedule = "rr".to_string();
-    let mut suppressions = SuppressionSet::new();
-    let mut gen_suppressions = false;
-    let mut explore: Option<usize> = None;
-    let mut jobs: usize = 1;
-    let mut checkpoint_path: Option<String> = None;
-    let mut faults: Option<FaultPlan> = None;
-    let mut budget: Option<BudgetSpec> = None;
-    let mut emit_annotated = false;
-    let mut emit_ir = false;
-    let mut json = false;
-    let mut cross_check = false;
-    let mut directed = false;
-    let mut record_out: Option<String> = None;
-    let mut record_case: Option<String> = None;
-    let mut epoch_events: Option<u64> = None;
-    let mut no_filter = false;
-    let mut hb_reference = false;
-    let mut vm_reference = false;
-    let mut stats = false;
-
-    let args: Vec<String> = args.collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--schedule" => schedule = it.next().unwrap_or_else(|| usage()).clone(),
-            "--raw" => {
-                let path = it.next().unwrap_or_else(|| usage());
-                let text = read_source(path);
-                files.push(SourceFile::without_instrumentation(path, &text));
-            }
-            "--suppressions" => {
-                let path = it.next().unwrap_or_else(|| usage());
-                let text = read_source(path);
-                suppressions = SuppressionSet::parse(&text).unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
-            }
-            "--faults" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                faults = Some(FaultPlan::parse(spec).unwrap_or_else(|e| {
-                    eprintln!("--faults: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--budget" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                budget = Some(BudgetSpec::parse(spec).unwrap_or_else(|e| {
-                    eprintln!("--budget: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--checkpoint" => checkpoint_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--case" => record_case = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--out" => record_out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--epoch-events" => {
-                epoch_events =
-                    Some(it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--gen-suppressions" => gen_suppressions = true,
-            "--emit-annotated" => emit_annotated = true,
-            "--emit-ir" => emit_ir = true,
-            "--json" => json = true,
-            "--no-filter" => no_filter = true,
-            "--hb-reference" => hb_reference = true,
-            "--vm-reference" => vm_reference = true,
-            "--stats" => stats = true,
-            "--static-cross-check" => cross_check = true,
-            "--directed" => directed = true,
-            "--explore" => {
-                explore = Some(it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            path if !path.starts_with('-') => {
-                let text = read_source(path);
-                files.push(SourceFile::new(path, &text));
-            }
-            _ => usage(),
-        }
-    }
-    let vm_mode = if vm_reference { VmMode::Reference } else { VmMode::Compiled };
-    // `record --case NAME` records a built-in sipsim proxy scenario (the
-    // T1–T8 Fig 6 cases) instead of compiling sources — the trace corpus
-    // the serve gates and benches upload.
-    if let Some(case) = &record_case {
-        if cmd != "record" || !files.is_empty() {
-            usage();
-        }
-        let tc = sipsim::testcases().into_iter().find(|t| t.name == *case).unwrap_or_else(|| {
-            let names: Vec<&str> = sipsim::testcases().iter().map(|t| t.name).collect();
-            eprintln!("unknown case {case}; available: {}", names.join(","));
-            std::process::exit(EXIT_ERROR);
-        });
-        let flat = tc.build().program.lower();
-        let mut sched = parse_schedule(&schedule);
-        let opts = VmOptions {
-            faults,
-            max_slots: budget
-                .as_ref()
-                .and_then(|b| b.max_slots)
-                .unwrap_or(VmOptions::default().max_slots),
-            mode: vm_mode,
-            ..Default::default()
-        };
-        run_record(&flat, sched.as_mut(), opts, record_out, epoch_events, no_filter, stats);
-    }
-    if files.is_empty() {
-        usage();
-    }
-
-    if cmd == "lint" {
-        run_lint(&files, json);
-    }
-
-    // Stage 1+2+3 (Fig 3): preprocess, parse + annotate, compile.
-    let out = run_pipeline(&files).unwrap_or_else(|e| {
-        eprintln!("compile error: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    eprintln!(
-        "compiled {} unit(s); {} delete site(s) annotated",
-        files.len(),
-        out.deletes_annotated
-    );
-    if emit_annotated {
-        for (name, src) in &out.annotated_sources {
-            println!("// ---- {name} (annotated) ----");
-            println!("{src}");
-        }
-    }
-
-    if emit_ir {
-        println!("{}", vexec::ir::disasm::disassemble(&out.program.lower()));
-    }
-
-    let mut cfg = parse_detector(&detector_name);
-    if let Some(b) = &budget {
-        cfg.budget = b.detector;
-    }
-    cfg.hb_reference = hb_reference;
-
-    // Exploration mode: aggregate warnings across many schedules.
-    if let Some(runs) = explore {
-        let limits = ExploreLimits {
-            max_slots_per_run: budget.as_ref().and_then(|b| b.max_slots),
-            total_slot_budget: budget.as_ref().and_then(|b| b.total_slots),
-            faults,
-            jobs,
-            no_filter,
-            vm_reference,
-        };
-        let resume = checkpoint_path.as_ref().and_then(|p| {
-            let text = std::fs::read_to_string(p).ok()?;
-            // An interrupted save leaves an uncommitted tail; repair (drop
-            // it) rather than refusing to resume.
-            match ExploreCheckpoint::parse_repair(&text) {
-                Ok((ck, _, repaired)) => {
-                    if repaired {
-                        eprintln!("{p}: repaired truncated checkpoint (dropped uncommitted tail)");
-                    }
-                    eprintln!("resuming from {p}: {}/{} runs done", ck.next_index, ck.runs);
-                    Some(ck)
-                }
-                Err(e) => {
-                    eprintln!("{p}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }
-            }
-        });
-        if directed && !cross_check {
-            eprintln!("--directed requires --static-cross-check (it consumes static findings)");
-            std::process::exit(EXIT_ERROR);
-        }
-        let stat = cross_check.then(|| minicpp::analysis::analyze(&out.units));
-        let summary = if directed {
-            let stat = stat.as_ref().expect("--directed implies --static-cross-check");
-            let targets = directed_targets(stat);
-            eprintln!("directed: {} probe target(s) from static findings", targets.len());
-            explore_schedules_directed(
-                &out.program,
-                cfg,
-                runs,
-                0xACE,
-                limits,
-                resume.as_ref(),
-                &targets,
-            )
-        } else {
-            explore_schedules_with(&out.program, cfg, runs, 0xACE, limits, resume.as_ref())
-        };
-        if let Some(p) = &checkpoint_path {
-            if let Err(e) = commitlog::create(p.as_ref(), &summary.checkpoint().render()) {
-                eprintln!("cannot write checkpoint {p}: {e}");
-                std::process::exit(EXIT_ERROR);
-            }
-        }
-        if !json {
-            println!(
-                "explored {} schedules: {} clean, {} deadlocked",
-                summary.runs, summary.clean_runs, summary.deadlocked_runs
-            );
-            if summary.timed_out {
-                println!(
-                    "timed out: {}/{} runs completed ({} fuel-exhausted)",
-                    summary.completed_runs, summary.runs, summary.fuel_exhausted_runs
-                );
-            }
-            for hit in &summary.locations {
-                println!(
-                    "[{:>3}/{:<3}] {}",
-                    hit.hits,
-                    summary.runs,
-                    hit.report.render().trim_end()
-                );
-            }
-        }
-        let mut cross_json: Option<Value> = None;
-        if let Some(stat) = &stat {
-            // Join the static findings against every location any explored
-            // schedule hit — the union is the fairest dynamic baseline. An
-            // escaping-guarded-ref finding has no dynamic twin by kind; it
-            // is confirmed when a dynamic race lands on one of its
-            // post-release use sites.
-            let dyn_keys: BTreeSet<_> =
-                summary.locations.iter().map(|h| join_key(&h.report)).collect();
-            let dyn_lines: BTreeSet<(String, u32)> =
-                summary.locations.iter().map(|h| (h.report.file.clone(), h.report.line)).collect();
-            let is_confirmed = |r: &Report| {
-                dyn_keys.contains(&join_key(r)) || escape_confirmed(r, &stat.escapes, &dyn_lines)
-            };
-            let stat_keys: BTreeSet<_> = stat.reports.iter().map(join_key).collect();
-            let confirmed = stat.reports.iter().filter(|r| is_confirmed(r));
-            let static_only = stat.reports.iter().filter(|r| !is_confirmed(r));
-            let dynamic_only =
-                summary.locations.iter().filter(|h| !stat_keys.contains(&join_key(&h.report)));
-            if !json {
-                println!(
-                    "static cross-check: {} confirmed-both, {} static-only, {} dynamic-only",
-                    confirmed.clone().count(),
-                    static_only.clone().count(),
-                    dynamic_only.clone().count()
-                );
-                for r in confirmed.clone() {
-                    println!("[confirmed-both] {} at {}:{}", r.kind.name(), r.file, r.line);
-                }
-                for r in static_only.clone() {
-                    println!("[static-only] {} at {}:{}", r.kind.name(), r.file, r.line);
-                }
-                for h in dynamic_only.clone() {
-                    let r = &h.report;
-                    println!("[dynamic-only] {} at {}:{}", r.kind.name(), r.file, r.line);
-                }
-            }
-            let to_vals =
-                |rs: Vec<&Report>| Value::Array(rs.iter().map(|r| r.to_value()).collect());
-            cross_json = Some(Value::Object(vec![
-                ("confirmed_both".to_string(), to_vals(confirmed.collect())),
-                ("static_only".to_string(), to_vals(static_only.collect())),
-                ("dynamic_only".to_string(), to_vals(dynamic_only.map(|h| &h.report).collect())),
-                ("escapes".to_string(), escapes_json(&stat.escapes, &dyn_lines)),
-            ]));
-        }
-        if json {
-            let locs = Value::Array(
-                summary
-                    .locations
-                    .iter()
-                    .map(|h| {
-                        Value::Object(vec![
-                            ("hits".to_string(), Value::UInt(h.hits as u64)),
-                            ("first_run".to_string(), Value::UInt(h.first_run as u64)),
-                            ("report".to_string(), h.report.to_value()),
-                        ])
-                    })
-                    .collect(),
-            );
-            let mut obj = vec![
-                ("runs".to_string(), Value::UInt(summary.runs as u64)),
-                ("completed_runs".to_string(), Value::UInt(summary.completed_runs as u64)),
-                ("clean_runs".to_string(), Value::UInt(summary.clean_runs as u64)),
-                ("deadlocked_runs".to_string(), Value::UInt(summary.deadlocked_runs as u64)),
-                ("timed_out".to_string(), Value::Bool(summary.timed_out)),
-                ("directed".to_string(), Value::Bool(directed)),
-                ("locations".to_string(), locs),
-            ];
-            if let Some(c) = cross_json {
-                obj.push(("static_cross_check".to_string(), c));
-            }
-            println!("{}", Value::Object(obj));
-        }
-        std::process::exit(if summary.locations.is_empty() { 0 } else { 1 });
-    }
-
-    // Single-run mode: collect the post-suppression dynamic findings.
-    let mut sched = parse_schedule(&schedule);
-    let flat = out.program.lower();
-    let opts = VmOptions {
-        faults,
-        max_slots: budget
-            .as_ref()
-            .and_then(|b| b.max_slots)
-            .unwrap_or(VmOptions::default().max_slots),
-        mode: vm_mode,
-        ..Default::default()
-    };
-    // Record mode: run the VM once with the trace writer as the tool and
-    // leave all detection for `raceline analyze`.
-    if cmd == "record" {
-        run_record(&flat, sched.as_mut(), opts, record_out, epoch_events, no_filter, stats);
-    }
-
-    let termination;
-    let truncated;
-    let fault_stats: Option<FaultStats>;
-    let run_stats: RunStats;
-    let engine_stats: Vec<helgrind_core::EngineStats>;
-    let filter_stats: Option<vexec::filter::FilterStats>;
-    let dynamic: Vec<Report> = match detector_name.as_str() {
-        "djit" => {
-            let det = DjitDetector::new(cfg);
-            let (r, mut det, fstats) = run_detector(&flat, det, sched.as_mut(), opts, no_filter);
-            termination = r.termination;
-            fault_stats = r.faults;
-            run_stats = r.stats;
-            truncated = det.truncated();
-            engine_stats = det.engine_stats();
-            filter_stats = fstats;
-            det.sink.take_reports()
-        }
-        "hybrid" | "hybrid-queue" => {
-            let det = HybridDetector::new(cfg);
-            let (r, mut det, fstats) = run_detector(&flat, det, sched.as_mut(), opts, no_filter);
-            termination = r.termination;
-            fault_stats = r.faults;
-            run_stats = r.stats;
-            truncated = det.truncated();
-            engine_stats = det.engine_stats();
-            filter_stats = fstats;
-            det.sink.take_reports()
-        }
-        _ => {
-            // Eraser applies suppressions inside its sink already.
-            let det = EraserDetector::with_suppressions(cfg, suppressions.clone());
-            let (r, mut det, fstats) = run_detector(&flat, det, sched.as_mut(), opts, no_filter);
-            termination = r.termination;
-            fault_stats = r.faults;
-            run_stats = r.stats;
-            truncated = det.truncated();
-            engine_stats = det.engine_stats();
-            filter_stats = fstats;
-            det.sink.take_reports()
-        }
-    };
-    if stats {
-        print_engine_stats(&engine_stats);
-        if let Some(fs) = filter_stats {
-            print_filter_stats(&fs);
-        }
-        print_interp_stats(&run_stats, vm_mode);
-    }
-    let dynamic: Vec<Report> = dynamic.into_iter().filter(|r| !suppressions.matches(r)).collect();
-
-    // Static cross-check: join the two report streams by (kind, file,
-    // line). The static side sees paths no schedule exercised; the
-    // dynamic side sees heap/alias behaviour the static side abstracts.
-    let cross = cross_check.then(|| {
-        let stat = minicpp::analysis::analyze(&out.units);
-        let dyn_keys: BTreeSet<_> = dynamic.iter().map(join_key).collect();
-        let dyn_lines: BTreeSet<(String, u32)> =
-            dynamic.iter().map(|r| (r.file.clone(), r.line)).collect();
-        let is_confirmed = |r: &Report| {
-            dyn_keys.contains(&join_key(r)) || escape_confirmed(r, &stat.escapes, &dyn_lines)
-        };
-        let stat_keys: BTreeSet<_> = stat.reports.iter().map(join_key).collect();
-        let confirmed: Vec<&Report> = stat.reports.iter().filter(|r| is_confirmed(r)).collect();
-        let static_only: Vec<&Report> = stat.reports.iter().filter(|r| !is_confirmed(r)).collect();
-        let dynamic_only: Vec<&Report> =
-            dynamic.iter().filter(|r| !stat_keys.contains(&join_key(r))).collect();
-        let mut text = format!(
-            "static cross-check: {} confirmed-both, {} static-only, {} dynamic-only\n",
-            confirmed.len(),
-            static_only.len(),
-            dynamic_only.len()
-        );
-        for (label, set) in [
-            ("confirmed-both", &confirmed),
-            ("static-only", &static_only),
-            ("dynamic-only", &dynamic_only),
-        ] {
-            for r in set.iter() {
-                text.push_str(&format!(
-                    "[{label}] {} at {} ({}:{}) — {}\n",
-                    r.kind.name(),
-                    r.func,
-                    r.file,
-                    r.line,
-                    r.details
-                ));
-            }
-        }
-        let to_vals = |rs: &[&Report]| Value::Array(rs.iter().map(|r| r.to_value()).collect());
-        let value = Value::Object(vec![
-            ("confirmed_both".to_string(), to_vals(&confirmed)),
-            ("static_only".to_string(), to_vals(&static_only)),
-            ("dynamic_only".to_string(), to_vals(&dynamic_only)),
-            ("escapes".to_string(), escapes_json(&stat.escapes, &dyn_lines)),
-        ]);
-        (text, value)
-    });
-
-    let (end, term_label) = end_of_termination(&termination);
-    let faults_out = fault_stats.map(|fs| FaultCounts {
-        total: fs.total(),
-        spurious_wakeups: fs.spurious_wakeups,
-        lock_failures: fs.lock_failures,
-        alloc_failures: fs.alloc_failures,
-        kills: fs.kills,
-    });
-    finish_run(dynamic, truncated, end, term_label, faults_out, cross, gen_suppressions, json);
-}
-
-/// How a run (live or replayed) ended, reduced to what the CLI prints.
-/// `check` builds this from [`Termination`], `analyze` from the trace
-/// footer's [`TraceTermination`]; both then share [`finish_run`], which is
-/// what makes the offline text output byte-identical to the inline run.
-enum EndKind {
-    Clean,
-    /// Per blocked thread: (tid, what it blocks on, holder tids).
-    Deadlock(Vec<(u32, BlockOn, Vec<u32>)>),
-    GuestError(String),
-    TimedOut,
-}
-
-/// Injected-fault counters in CLI-neutral form (live or from the footer).
-struct FaultCounts {
-    total: u64,
-    spurious_wakeups: u64,
-    lock_failures: u64,
-    alloc_failures: u64,
-    kills: u64,
-}
-
-/// Run any detector through the VM, with the redundant-access filter in
-/// front unless `--no-filter`. The filter is report-preserving (the
-/// equivalence gates enforce it), so both paths print identical stdout.
-fn run_detector<T: Tool>(
-    flat: &FlatProgram,
-    det: T,
-    sched: &mut dyn Scheduler,
-    opts: VmOptions,
-    no_filter: bool,
-) -> (RunResult, T, Option<FilterStats>) {
-    if no_filter {
-        let mut det = det;
-        let r = run_flat(flat, &mut det, sched, opts);
-        (r, det, None)
-    } else {
-        let mut tool = FilterTool::new(det);
-        let r = run_flat(flat, &mut tool, sched, opts);
-        let (det, fstats) = tool.into_parts();
-        (r, det, Some(fstats))
-    }
-}
-
-/// `--stats` output, stderr only: stdout report identity between filtered
-/// and unfiltered runs is a hard contract, and engine access counts
-/// legitimately differ when the filter elides events.
-fn print_engine_stats(stats: &[helgrind_core::EngineStats]) {
-    for s in stats {
-        eprintln!(
-            "stats: engine {} processed {} access(es), shadow overflow {}, \
-             live granules {} (peak {})",
-            s.name, s.accesses, s.shadow_overflow, s.live_granules, s.peak_granules
-        );
-        if let Some(e) = s.epoch {
-            eprintln!(
-                "stats: engine {} epochs: {} hit(s), {} promotion(s), \
-                 {} demotion(s), {} vc fallback(s)",
-                s.name, e.epoch_hits, e.promotions, e.demotions, e.vc_fallbacks
-            );
-        }
-    }
-}
-
-fn print_filter_stats(fs: &FilterStats) {
-    eprintln!(
-        "stats: filter elided {} of {} candidate access(es) ({:.1}% hit rate, \
-         {:.1}% of all {} event(s)); epoch bumps: {} thread, {} global",
-        fs.elided,
-        fs.candidates,
-        fs.hit_rate() * 100.0,
-        fs.elided_fraction() * 100.0,
-        fs.events,
-        fs.thread_epoch_bumps,
-        fs.global_epoch_bumps
-    );
-}
-
-/// `--stats` interpreter counters, stderr only: stdout identity between
-/// the compiled and reference cores is a hard contract (the
-/// interp-equivalence gates pin it), so per-core telemetry never lands
-/// on stdout.
-fn print_interp_stats(stats: &RunStats, mode: VmMode) {
-    let i = &stats.interp;
-    let core = match mode {
-        VmMode::Compiled => "compiled",
-        VmMode::Reference => "reference",
-    };
-    eprintln!(
-        "stats: interp ({core}) {} op(s): {} arith, {} branch, {} mem, {} call, \
-         {} sync, {} thread, {} heap, {} misc",
-        i.total(),
-        i.arith,
-        i.branch,
-        i.mem,
-        i.call,
-        i.sync,
-        i.thread,
-        i.heap,
-        i.misc
-    );
-    let covered = i.fused * 2;
-    let pct = if stats.ops > 0 { covered as f64 / stats.ops as f64 * 100.0 } else { 0.0 };
-    eprintln!(
-        "stats: interp ({core}) {} superinstruction(s) covering {pct:.1}% of ops; \
-         {} eval-slot fallback(s)",
-        i.fused, i.slot_evals
-    );
-}
-
-fn end_of_termination(t: &Termination) -> (EndKind, String) {
-    let label = format!("{t:?}");
-    let end = match t {
-        Termination::AllExited => EndKind::Clean,
-        Termination::Deadlock(waits) => EndKind::Deadlock(
-            waits
-                .iter()
-                .map(|w| (w.tid.0, w.on, w.holders.iter().map(|t| t.0).collect()))
-                .collect(),
-        ),
-        Termination::GuestError(e) => EndKind::GuestError(e.to_string()),
-        Termination::FuelExhausted => EndKind::TimedOut,
-    };
-    (end, label)
-}
-
-/// The trace footer keeps deadlock waits and the rendered guest error but
-/// not the full `Termination` value, so the JSON `termination` label for
-/// those two cases is a summary rather than the live Debug string; the
-/// text output (the byte-identity contract) is unaffected.
-fn end_of_trace(t: &TraceTermination) -> (EndKind, String) {
-    match t {
-        TraceTermination::AllExited => (EndKind::Clean, "AllExited".to_string()),
-        TraceTermination::Deadlock(waits) => (
-            EndKind::Deadlock(waits.iter().map(|w| (w.tid, w.on, w.holders.clone())).collect()),
-            format!("Deadlock({} waiting)", waits.len()),
-        ),
-        TraceTermination::GuestError(e) => {
-            (EndKind::GuestError(e.clone()), format!("GuestError({e})"))
-        }
-        TraceTermination::FuelExhausted => (EndKind::TimedOut, "FuelExhausted".to_string()),
-        // Repaired traces end mid-run: the analyzed prefix is valid, the
-        // outcome of the original run is simply not in the file.
-        TraceTermination::Unknown => (EndKind::Clean, "Unknown".to_string()),
-    }
-}
-
-/// Shared tail of `check` and `analyze`: print reports, termination
-/// diagnostics, optional cross-check block and JSON object, then exit with
-/// the 0/1/2 contract.
-#[allow(clippy::too_many_arguments)]
-fn finish_run(
-    dynamic: Vec<Report>,
-    truncated: bool,
-    end: EndKind,
-    term_label: String,
-    faults: Option<FaultCounts>,
-    cross: Option<(String, Value)>,
-    gen_suppressions: bool,
-    json: bool,
-) -> ! {
-    let mut warnings = dynamic.len();
-
-    if !json {
-        for (i, r) in dynamic.iter().enumerate() {
-            println!("{}", r.render());
-            if gen_suppressions {
-                println!("{}", Suppression::from_report(&format!("auto-{}", i + 1), r, 3).render());
-            }
-        }
-    }
-
-    let mut guest_error: Option<String> = None;
-    let timed_out = matches!(end, EndKind::TimedOut);
-    match &end {
-        EndKind::Clean => {}
-        EndKind::Deadlock(waits) => {
-            if !json {
-                println!("DEADLOCK: {} thread(s) blocked:", waits.len());
-                for (tid, on, holders) in waits {
-                    println!("  thread {tid} blocked on {on:?} held by {holders:?}");
-                }
-            }
-            warnings += 1;
-        }
-        EndKind::GuestError(e) => {
-            // The *guest* faulted; the detector kept its state. Report as a
-            // diagnostic and exit 2 — this is neither clean nor a finding.
-            guest_error = Some(e.clone());
-            if !json {
-                println!("guest error: {e}");
-            }
-        }
-        EndKind::TimedOut => {
-            // Budget cap hit: a partial (but valid) run, not an error.
-            if !json {
-                println!("timed out: slot budget exhausted before the program finished");
-            }
-        }
-    }
-
-    if !json {
-        if let Some((text, _)) = &cross {
-            print!("{text}");
-        }
-    }
-
-    if json {
-        let mut obj = vec![
-            ("warnings".to_string(), Value::UInt(warnings as u64)),
-            ("termination".to_string(), Value::Str(term_label)),
-            ("truncated".to_string(), Value::Bool(truncated)),
-            ("timed_out".to_string(), Value::Bool(timed_out)),
-            ("reports".to_string(), reports_json(&dynamic)),
-        ];
-        if let Some(e) = &guest_error {
-            obj.push(("guest_error".to_string(), Value::Str(e.clone())));
-        }
-        if let Some(fs) = &faults {
-            obj.push((
-                "injected_faults".to_string(),
-                Value::Object(vec![
-                    ("total".to_string(), Value::UInt(fs.total)),
-                    ("spurious_wakeups".to_string(), Value::UInt(fs.spurious_wakeups)),
-                    ("lock_failures".to_string(), Value::UInt(fs.lock_failures)),
-                    ("alloc_failures".to_string(), Value::UInt(fs.alloc_failures)),
-                    ("kills".to_string(), Value::UInt(fs.kills)),
-                ]),
-            ));
-        }
-        if let Some((_, c)) = cross {
-            obj.push(("static_cross_check".to_string(), c));
-        }
-        println!("{}", Value::Object(obj));
-    }
-
-    eprintln!("{warnings} warning(s)");
-    if guest_error.is_some() {
-        eprintln!("guest error: exiting with status {EXIT_ERROR}");
-        std::process::exit(EXIT_ERROR);
-    }
-    std::process::exit(if warnings == 0 { 0 } else { EXIT_FINDINGS });
-}
-
-/// Record one program run to an `.rltrace` file — the body of
-/// `raceline record`, shared by the compile-from-source and `--case`
-/// (built-in sipsim scenario) paths.
-fn run_record(
-    flat: &FlatProgram,
-    sched: &mut dyn Scheduler,
-    opts: VmOptions,
-    record_out: Option<String>,
-    epoch_events: Option<u64>,
-    no_filter: bool,
-    stats: bool,
-) -> ! {
-    let out_path = record_out.unwrap_or_else(|| "trace.rltrace".to_string());
-    let file = std::fs::File::create(&out_path).unwrap_or_else(|e| {
-        eprintln!("cannot create {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    let mut writer = TraceWriter::new(std::io::BufWriter::new(file));
-    if let Some(n) = epoch_events {
-        writer = writer.with_epoch_events(n);
-    }
-    let mode = opts.mode;
-    // The filter elides exact-repeat accesses before they reach the
-    // writer: smaller traces, same reports on replay (elided events
-    // are state-transition no-ops). --no-filter forces full streams.
-    let (r, writer, filter_stats) = if no_filter {
-        let r = run_flat(flat, &mut writer, sched, opts);
-        (r, writer, None)
-    } else {
-        let mut tool = FilterTool::new(writer);
-        let r = run_flat(flat, &mut tool, sched, opts);
-        let (writer, fstats) = tool.into_parts();
-        (r, writer, Some(fstats))
-    };
-    let summary = writer.finish(&r.termination, &r.stats, r.faults.as_ref()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    if stats {
-        if let Some(fs) = filter_stats {
-            print_filter_stats(&fs);
-        }
-        print_interp_stats(&r.stats, mode);
-    }
-    match &r.termination {
-        Termination::AllExited => {}
-        Termination::Deadlock(waits) => {
-            eprintln!("note: run ended in deadlock ({} thread(s) blocked)", waits.len());
-        }
-        Termination::GuestError(e) => eprintln!("note: run ended with guest error: {e}"),
-        Termination::FuelExhausted => {
-            eprintln!("note: slot budget exhausted before the program finished");
-        }
-    }
-    eprintln!(
-        "recorded {} event(s) in {} epoch(s) to {out_path} ({} bytes)",
-        summary.events, summary.epochs, summary.bytes
-    );
-    std::process::exit(0);
-}
-
-fn read_trace(path: &str) -> Vec<u8> {
-    std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    })
-}
-
-/// `raceline analyze`: feed a recorded trace through any detector
-/// configuration — no VM, no re-execution — and print exactly what
-/// `raceline check` would have printed inline.
-fn run_analyze(args: Vec<String>) -> ! {
-    let mut trace_path: Option<String> = None;
-    let mut detector_name = "hwlc-dr".to_string();
-    let mut jobs: usize = 1;
-    let mut from_epoch: u64 = 0;
-    let mut suppressions = SuppressionSet::new();
-    let mut gen_suppressions = false;
-    let mut budget: Option<BudgetSpec> = None;
-    let mut json = false;
-    let mut stats = false;
-    let mut repair = false;
-    let mut hb_reference = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--from-epoch" => {
-                from_epoch = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--stats" => stats = true,
-            "--repair" => repair = true,
-            "--hb-reference" => hb_reference = true,
-            "--suppressions" => {
-                let path = it.next().unwrap_or_else(|| usage());
-                let text = read_source(path);
-                suppressions = SuppressionSet::parse(&text).unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
-            }
-            "--budget" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                budget = Some(BudgetSpec::parse(spec).unwrap_or_else(|e| {
-                    eprintln!("--budget: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--gen-suppressions" => gen_suppressions = true,
-            "--json" => json = true,
-            path if !path.starts_with('-') => {
-                if trace_path.is_some() {
-                    usage();
-                }
-                trace_path = Some(path.to_string());
-            }
-            _ => usage(),
-        }
-    }
-    let path = trace_path.unwrap_or_else(|| usage());
-    let bytes = read_trace(&path);
-
-    let mut cfg = parse_detector(&detector_name);
-    if let Some(b) = &budget {
-        cfg.budget = b.detector;
-    }
-    cfg.hb_reference = hb_reference;
-    let detector = ReplayDetector::by_name(&detector_name, cfg, suppressions.clone());
-    let outcome = if repair {
-        let (outcome, info) =
-            helgrind_core::analyze_trace_repair(&bytes, detector, jobs.max(1), from_epoch)
-                .unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
-        if info.repaired {
-            eprintln!(
-                "repaired: dropped {} torn byte(s), analyzing {} intact epoch(s)",
-                info.dropped_bytes, outcome.footer.epochs
-            );
-        }
-        outcome
-    } else {
-        analyze_trace_bytes(&bytes, detector, jobs.max(1), from_epoch).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(EXIT_ERROR);
-        })
-    };
-    eprintln!(
-        "analyzed {} event(s) from {} epoch(s) [{detector_name}]",
-        outcome.events, outcome.footer.epochs
-    );
-    if stats {
-        // Replay-side counters only: the trace is already filtered (or
-        // not) at record time; analyze never re-filters.
-        print_engine_stats(&outcome.engine_stats);
-    }
-
-    let dynamic: Vec<Report> =
-        outcome.reports.into_iter().filter(|r| !suppressions.matches(r)).collect();
-    let (end, term_label) = end_of_trace(&outcome.footer.termination);
-    let faults = outcome.footer.faults.map(|fs: TraceFaultStats| FaultCounts {
-        total: fs.total(),
-        spurious_wakeups: fs.spurious_wakeups,
-        lock_failures: fs.lock_failures,
-        alloc_failures: fs.alloc_failures,
-        kills: fs.kills,
-    });
-    finish_run(dynamic, outcome.truncated, end, term_label, faults, None, gen_suppressions, json);
-}
-
-/// `raceline trace-diff`: analyze two traces (or one trace under two
-/// detector configurations) and report warnings by stable fingerprint —
-/// which are new, which are fixed. Exit 0 when the sets match, 1 when they
-/// differ, 2 on error.
-fn run_trace_diff(args: Vec<String>) -> ! {
-    let mut paths: Vec<String> = Vec::new();
-    let mut detector_a = "hwlc-dr".to_string();
-    let mut detector_b: Option<String> = None;
-    let mut jobs: usize = 1;
-    let mut json = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--detector" => detector_a = it.next().unwrap_or_else(|| usage()).clone(),
-            "--detector-a" => detector_a = it.next().unwrap_or_else(|| usage()).clone(),
-            "--detector-b" => detector_b = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--json" => json = true,
-            path if !path.starts_with('-') => paths.push(path.to_string()),
-            _ => usage(),
-        }
-    }
-    if paths.len() != 2 {
-        usage();
-    }
-    let detector_b = detector_b.unwrap_or_else(|| detector_a.clone());
-    let suppressions = SuppressionSet::new();
-
-    let analyze_one = |path: &str, name: &str| -> BTreeMap<String, Report> {
-        let bytes = read_trace(path);
-        let det = ReplayDetector::by_name(name, parse_detector(name), suppressions.clone());
-        let outcome = analyze_trace_bytes(&bytes, det, jobs.max(1), 0).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(EXIT_ERROR);
-        });
-        outcome.reports.into_iter().map(|r| (warning_fingerprint(&r), r)).collect()
-    };
-    let old = analyze_one(&paths[0], &detector_a);
-    let new = analyze_one(&paths[1], &detector_b);
-
-    let fresh: Vec<(&String, &Report)> =
-        new.iter().filter(|(k, _)| !old.contains_key(*k)).collect();
-    let fixed: Vec<(&String, &Report)> =
-        old.iter().filter(|(k, _)| !new.contains_key(*k)).collect();
-    let unchanged = new.keys().filter(|k| old.contains_key(*k)).count();
-
-    let describe = |r: &Report| format!("{} at {}:{} ({})", r.kind.name(), r.file, r.line, r.func);
-    if json {
-        // The warehouse `diff` command renders through the same function,
-        // so served regression edges byte-match this output.
-        let to_entries = |rs: &[(&String, &Report)]| -> Vec<DiffEntry> {
-            rs.iter()
-                .map(|(k, r)| DiffEntry {
-                    fingerprint: (*k).clone(),
-                    kind: r.kind,
-                    file: r.file.clone(),
-                    line: r.line,
-                    func: r.func.clone(),
-                })
-                .collect()
-        };
-        // Already newline-terminated — print! keeps the bytes identical
-        // to the warehouse `diff` body.
-        print!(
-            "{}",
-            render_diff_json(
-                &detector_a,
-                &detector_b,
-                &to_entries(&fresh),
-                &to_entries(&fixed),
-                unchanged as u64
-            )
-        );
-    } else {
-        println!("trace-diff: {} new, {} fixed, {} unchanged", fresh.len(), fixed.len(), unchanged);
-        for (_, r) in &fresh {
-            println!("[new] {}", describe(r));
-        }
-        for (_, r) in &fixed {
-            println!("[fixed] {}", describe(r));
-        }
-    }
-    std::process::exit(if fresh.is_empty() && fixed.is_empty() { 0 } else { EXIT_FINDINGS });
-}
-
-/// `raceline serve`: the trace-ingest service (DESIGN.md §14). With
-/// `--listen`, run the threaded TCP front end over a spool-dir-backed
-/// report warehouse until a `shutdown` command arrives. With `--fold`,
-/// run the *offline oracle* instead: ingest the given `<build>=<path>`
-/// traces sequentially through the identical fold and print the catalogue
-/// — the byte-compare baseline for the equivalence gates.
-fn run_serve(args: Vec<String>) -> ! {
-    let mut listen: Option<String> = None;
-    let mut spool: Option<String> = None;
-    let mut detector_name = "hwlc-dr".to_string();
-    let mut hb_reference = false;
-    let mut jobs: usize = 1;
-    let mut fold = false;
-    let mut uploads: Vec<(u64, String)> = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => listen = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--spool" => spool = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--hb-reference" => hb_reference = true,
-            "--fold" => fold = true,
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            arg if !arg.starts_with('-') => {
-                let Some((build, path)) = arg.split_once('=') else { usage() };
-                let Ok(build) = build.parse::<u64>() else { usage() };
-                uploads.push((build, path.to_string()));
-            }
-            _ => usage(),
-        }
-    }
-    // Validate the engine name up front on both paths.
-    let _ = parse_detector(&detector_name);
-
-    if fold {
-        // Sequential offline fold: same analysis, same commutative state,
-        // same renderer as the server — only the transport is missing.
-        let mut cfg = parse_detector(&detector_name);
-        cfg.hb_reference = hb_reference;
-        let mut log = WarehouseLog::new(&detector_name, hb_reference);
-        for (build, path) in &uploads {
-            let bytes = read_trace(path);
-            let hash = raceline_warehouse::content_hash(&bytes);
-            if log.traces.contains_key(&(*build, hash)) {
-                continue;
-            }
-            let (warnings, events) =
-                raceline_warehouse::analyze_for_warehouse(&bytes, &detector_name, cfg)
-                    .unwrap_or_else(|e| {
-                        eprintln!("{path}: {e}");
-                        std::process::exit(EXIT_ERROR);
-                    });
-            log.fold_ingest(*build, hash, events, &warnings);
-        }
-        print!("{}", raceline_warehouse::render_catalogue(&log));
-        std::process::exit(0);
-    }
-
-    let (Some(listen), Some(spool)) = (listen, spool) else { usage() };
-    if !uploads.is_empty() {
-        usage();
-    }
-    let service = Service::open(ServiceConfig {
-        spool: spool.into(),
-        engine: detector_name,
-        hb_reference,
-        jobs,
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("serve: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    let listener = std::net::TcpListener::bind(&listen).unwrap_or_else(|e| {
-        eprintln!("serve: cannot listen on {listen}: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    match listener.local_addr() {
-        Ok(addr) => {
-            // Stdout so harnesses that bind port 0 can parse the real
-            // address; flushed before accept starts.
-            println!("listening {addr}");
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
-        }
-        Err(e) => {
-            eprintln!("serve: {e}");
-            std::process::exit(EXIT_ERROR);
-        }
-    }
-    if let Err(e) = wserver::serve(&service, listener) {
-        eprintln!("serve: {e}");
-        std::process::exit(EXIT_ERROR);
-    }
-    eprintln!("serve: shutdown complete");
-    std::process::exit(0);
-}
-
-/// `raceline client`: drive a running `raceline serve` over the wire.
-/// Response bodies (`query`, `diff`, `stats`) go to stdout verbatim so CI
-/// can `cmp` them; bodiless responses print their JSON header line.
-/// Exit 0 on `ok:true`, 2 on transport failure or `ok:false`.
-fn run_client(args: Vec<String>) -> ! {
-    let mut connect: Option<String> = None;
-    let mut verb: Option<String> = None;
-    let mut build: u64 = 0;
-    let mut diff_a: Option<u64> = None;
-    let mut diff_b: Option<u64> = None;
-    let mut off = false;
-    let mut positional: Vec<String> = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => connect = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--build" => {
-                build = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--a" => {
-                diff_a = Some(it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--b" => {
-                diff_b = Some(it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--off" => off = true,
-            arg if !arg.starts_with('-') => {
-                if verb.is_none() {
-                    verb = Some(arg.to_string());
-                } else {
-                    positional.push(arg.to_string());
-                }
-            }
-            _ => usage(),
-        }
-    }
-    let addr = connect.unwrap_or_else(|| usage());
-    let verb = verb.unwrap_or_else(|| usage());
-
-    let result = match verb.as_str() {
-        "submit" => {
-            let [path] = positional.as_slice() else { usage() };
-            let bytes = read_trace(path);
-            wclient::submit(&addr, build, &bytes)
-        }
-        "query" | "stats" | "ping" | "shutdown" => {
-            wclient::request(&addr, &wclient::cmd(&verb), None)
-        }
-        "diff" => {
-            let (Some(a), Some(b)) = (diff_a, diff_b) else { usage() };
-            let header = Value::Object(vec![
-                ("cmd".to_string(), Value::Str("diff".to_string())),
-                ("a".to_string(), Value::UInt(a)),
-                ("b".to_string(), Value::UInt(b)),
-            ]);
-            wclient::request(&addr, &header, None)
-        }
-        "suppress" => {
-            let [fingerprint] = positional.as_slice() else { usage() };
-            let header = Value::Object(vec![
-                ("cmd".to_string(), Value::Str("suppress".to_string())),
-                ("fingerprint".to_string(), Value::Str(fingerprint.clone())),
-                ("on".to_string(), Value::Bool(!off)),
-            ]);
-            wclient::request(&addr, &header, None)
-        }
-        _ => usage(),
-    };
-
-    let resp = result.unwrap_or_else(|e| {
-        eprintln!("client: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    if !resp.ok() {
-        eprintln!("client: server error: {}", resp.error().unwrap_or("unknown"));
-        std::process::exit(EXIT_ERROR);
-    }
-    if resp.body.is_empty() {
-        println!("{}", resp.header);
-    } else {
-        use std::io::Write as _;
-        std::io::stdout().write_all(&resp.body).unwrap_or_else(|e| {
-            eprintln!("client: {e}");
-            std::process::exit(EXIT_ERROR);
-        });
-    }
-    std::process::exit(0);
-}
-
-/// `raceline lint`: parse + annotate + static passes, no execution.
-fn run_lint(files: &[SourceFile], json: bool) -> ! {
-    let result = minicpp::analysis::analyze_files(files).unwrap_or_else(|e| {
-        eprintln!("compile error: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    let n = result.reports.len();
-    if json {
-        let obj = Value::Object(vec![
-            ("findings".to_string(), Value::UInt(n as u64)),
-            ("reports".to_string(), reports_json(&result.reports)),
-        ]);
-        println!("{obj}");
-    } else {
-        for r in &result.reports {
-            println!("{}", r.render());
-        }
-    }
-    eprintln!("{n} finding(s)");
-    std::process::exit(if n == 0 { 0 } else { EXIT_FINDINGS });
-}
-
-/// `raceline chaos`: sweep seeded fault plans across the T1–T8 evaluation
-/// cases and the §4.1 bug catalogue, asserting the *detector's* resilience
-/// invariants — chaos-testing the tracer the way the paper's SIP proxy was
-/// tested:
-///
-/// 1. no host panic, whatever the injected faults do to the guest;
-/// 2. identical (seed, plan) ⇒ bit-identical report fingerprint;
-/// 3. the true-positive catalogue is still detected under faults.
-///
-/// Findings in the guest are *expected* here (that is the point); the exit
-/// code reflects only the invariants: 0 = all hold, 2 = a resilience bug.
-fn run_chaos(args: Vec<String>) -> ! {
-    let mut runs: usize = 100;
-    let mut seed: u64 = 0xC0FFEE;
-    let mut detector_name = "hwlc-dr".to_string();
-    let mut case_filter: Option<Vec<String>> = None;
-    let mut max_slots: Option<u64> = None;
-    let mut jobs: usize = 1;
-    let mut json = false;
-    let mut no_filter = false;
-    let mut hb_reference = false;
-    let mut vm_reference = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--no-filter" => no_filter = true,
-            "--hb-reference" => hb_reference = true,
-            "--vm-reference" => vm_reference = true,
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--runs" => {
-                runs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                let s = it.next().unwrap_or_else(|| usage());
-                seed = parse_u64(s).unwrap_or_else(|e| {
-                    eprintln!("--seed: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
-            }
-            "--cases" => {
-                let s = it.next().unwrap_or_else(|| usage());
-                case_filter = Some(s.split(',').map(|c| c.trim().to_string()).collect());
-            }
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--max-slots" => {
-                let s = it.next().unwrap_or_else(|| usage());
-                max_slots = Some(parse_u64(s).unwrap_or_else(|e| {
-                    eprintln!("--max-slots: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--json" => json = true,
-            _ => usage(),
-        }
-    }
-    let mut cfg = parse_detector(&detector_name);
-    cfg.hb_reference = hb_reference;
-    let vm_mode = if vm_reference { VmMode::Reference } else { VmMode::Compiled };
-
-    let cases: Vec<sipsim::TestCase> = sipsim::testcases()
-        .into_iter()
-        .filter(|tc| case_filter.as_ref().is_none_or(|f| f.iter().any(|n| n == tc.name)))
-        .collect();
-    if cases.is_empty() {
-        eprintln!("no test cases match {case_filter:?}");
-        std::process::exit(EXIT_ERROR);
-    }
-    eprintln!(
-        "chaos: {} run(s), base seed {seed:#x}, {} case(s): {}",
-        runs,
-        cases.len(),
-        cases.iter().map(|c| c.name).collect::<Vec<_>>().join(",")
-    );
-    let built: Vec<sipsim::BuiltProxy> = cases.iter().map(|tc| tc.build()).collect();
-
-    // Silence the default "thread panicked" spew: a panic is *recorded* as
-    // a resilience failure, not splattered over the report.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
-    let mut panics: usize = 0;
-    let mut mismatches: usize = 0;
-    let mut deadlocks: usize = 0;
-    let mut guest_errors: usize = 0;
-    let mut fuel_exhausted: usize = 0;
-    let mut truncated_runs: usize = 0;
-    let mut faults_injected: u64 = 0;
-    let mut case_real_cover: Vec<bool> = vec![false; cases.len()];
-
-    // Each run index fully determines its own inputs (plan, case, schedule
-    // seed), so the sweep fans out over a worker pool and folds back in
-    // index order — counters, diagnostics and the exit code are
-    // bit-identical to the sequential sweep whatever `jobs` is.
-    enum Probe {
-        Mismatch,
-        Panicked,
-    }
-    let outcomes = par::map_indexed(jobs, runs, |i| {
-        let plan = FaultPlan::from_seed(seed.wrapping_add(i as u64));
-        let ci = i % cases.len();
-        let sched_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
-        let b = &built[ci];
-        let run =
-            || sipsim::run_case_chaos_in(b, cfg, plan, sched_seed, max_slots, !no_filter, vm_mode);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).ok();
-        // Determinism probe on a sample of runs: the same (plan, schedule)
-        // must reproduce the exact report fingerprint.
-        let probe = match &outcome {
-            Some(first) if i % 10 == 0 => {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
-                    Ok(again) if again.fingerprint == first.fingerprint => None,
-                    Ok(_) => Some(Probe::Mismatch),
-                    Err(_) => Some(Probe::Panicked),
-                }
-            }
-            _ => None,
-        };
-        (outcome, probe)
-    });
-    for (i, (outcome, probe)) in outcomes.into_iter().enumerate() {
-        let plan_seed = seed.wrapping_add(i as u64);
-        let ci = i % cases.len();
-        let Some(outcome) = outcome else {
-            panics += 1;
-            eprintln!("PANIC: case {} plan seed {plan_seed:#x}", cases[ci].name);
-            continue;
-        };
-        match probe {
-            None => {}
-            Some(Probe::Mismatch) => {
-                mismatches += 1;
-                eprintln!("NONDETERMINISM: case {} plan seed {plan_seed:#x}", cases[ci].name);
-            }
-            Some(Probe::Panicked) => panics += 1,
-        }
-        if outcome.deadlocked {
-            deadlocks += 1;
-        }
-        if outcome.guest_error.is_some() {
-            guest_errors += 1;
-        }
-        if outcome.fuel_exhausted {
-            fuel_exhausted += 1;
-        }
-        if outcome.truncated {
-            truncated_runs += 1;
-        }
-        faults_injected += outcome.fault_stats.map(|f| f.total()).unwrap_or(0);
-        if outcome.real_hits > 0 {
-            case_real_cover[ci] = true;
-        }
-    }
-
-    // §4.1 catalogue under faults: each bug must still be detected under
-    // at least one plan of the sweep. Bugs are independent of each other,
-    // so they fan out across the pool too; within one bug the plans run in
-    // order with the sequential early-exit, keeping the panic tally and
-    // the missed list identical to --jobs 1.
-    let all_bugs = sipsim::bugs::all_bugs();
-    let bug_results = par::map_indexed(jobs, all_bugs.len(), |bi| {
-        let bug = &all_bugs[bi];
-        let flat = bug.program.lower();
-        let mut attempt_panics: usize = 0;
-        let mut found = false;
-        for i in 0..runs.clamp(1, 25) {
-            let plan = FaultPlan::from_seed(seed.wrapping_add(i as u64));
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut det = EraserDetector::new(cfg);
-                let mut sched: Box<dyn Scheduler> = match &bug.schedule {
-                    Some(order) => Box::new(vexec::sched::PriorityOrder::new(
-                        order.iter().map(|&t| vexec::ThreadId(t)).collect(),
-                    )),
-                    None => Box::new(RoundRobin::new()),
-                };
-                let opts = VmOptions { faults: Some(plan), mode: vm_mode, ..Default::default() };
-                let _ = run_flat(&flat, &mut det, sched.as_mut(), opts);
-                det.sink.reports().iter().any(|r| r.func == bug.expected_func)
-            }));
-            match attempt {
-                Ok(true) => {
-                    found = true;
-                    break;
-                }
-                Ok(false) => {}
-                Err(_) => attempt_panics += 1,
-            }
-        }
-        (found, attempt_panics)
-    });
-    let mut bugs_missed: Vec<&'static str> = Vec::new();
-    for (bi, (found, attempt_panics)) in bug_results.into_iter().enumerate() {
-        panics += attempt_panics;
-        if !found {
-            bugs_missed.push(all_bugs[bi].name);
-        }
-    }
-    drop(std::panic::take_hook());
-    std::panic::set_hook(prev_hook);
-
-    let uncovered: Vec<&str> =
-        cases.iter().zip(&case_real_cover).filter(|&(_, &c)| !c).map(|(tc, _)| tc.name).collect();
-    let ok = panics == 0 && mismatches == 0 && uncovered.is_empty() && bugs_missed.is_empty();
-
-    if json {
-        let obj = Value::Object(vec![
-            ("runs".to_string(), Value::UInt(runs as u64)),
-            ("panics".to_string(), Value::UInt(panics as u64)),
-            ("nondeterministic".to_string(), Value::UInt(mismatches as u64)),
-            ("deadlocks".to_string(), Value::UInt(deadlocks as u64)),
-            ("guest_errors".to_string(), Value::UInt(guest_errors as u64)),
-            ("fuel_exhausted".to_string(), Value::UInt(fuel_exhausted as u64)),
-            ("truncated".to_string(), Value::UInt(truncated_runs as u64)),
-            ("faults_injected".to_string(), Value::UInt(faults_injected)),
-            (
-                "uncovered_cases".to_string(),
-                Value::Array(uncovered.iter().map(|n| Value::Str(n.to_string())).collect()),
-            ),
-            (
-                "bugs_missed".to_string(),
-                Value::Array(bugs_missed.iter().map(|n| Value::Str(n.to_string())).collect()),
-            ),
-            ("resilient".to_string(), Value::Bool(ok)),
-        ]);
-        println!("{obj}");
-    } else {
-        println!(
-            "chaos: {runs} run(s): {panics} panic(s), {mismatches} nondeterministic, \
-             {deadlocks} deadlock(s), {guest_errors} guest error(s), \
-             {fuel_exhausted} fuel-exhausted, {truncated_runs} truncated, \
-             {faults_injected} fault(s) injected"
-        );
-        if !uncovered.is_empty() {
-            println!("real races NOT covered in: {}", uncovered.join(","));
-        }
-        if !bugs_missed.is_empty() {
-            println!("catalogue bugs NOT detected under faults: {}", bugs_missed.join(","));
-        }
-        println!("resilience: {}", if ok { "OK" } else { "FAILED" });
-    }
-    std::process::exit(if ok { 0 } else { EXIT_ERROR });
-}
-
-/// `raceline soak`: phased generative load (the §3.3 long-run scenario at
-/// scale) through the VM under a kill schedule, with the warning catalogue
-/// checkpointed between phases.
-///
-/// Every phase is a pure function of `(spec, phase)`: a fresh guest
-/// program, schedule, and detector. That makes `--jobs N` byte-identical
-/// to sequential, and makes crash/resume exact — the append-only log
-/// commits each phase's deduped `warn` lines *before* the `phase` line, so
-/// a harness crash mid-append loses only an uncommitted block that the
-/// resumed run recomputes bit-identically. Exit contract: 0 = clean run,
-/// 1 = catalogue non-empty or a phase deadlocked, 2 = tool/guest error.
-fn run_soak(args: Vec<String>) -> ! {
-    use helgrind_core::AnyDetector;
-    use sipsim::{run_phase_in, PhaseEnd, SoakLog, SoakSpec};
-
-    let mut spec = SoakSpec::default();
-    let mut detector_name = "hybrid".to_string();
-    let mut budget: Option<BudgetSpec> = None;
-    let mut jobs: usize = 1;
-    let mut checkpoint_path: Option<String> = None;
-    let mut max_slots: Option<u64> = None;
-    let mut no_filter = false;
-    let mut mem_report = false;
-    let mut hb_reference = false;
-    let mut vm_reference = false;
-
-    let mut it = args.iter();
-    let num = |it: &mut std::slice::Iter<String>| -> u64 {
-        it.next().and_then(|x| parse_u64(x).ok()).unwrap_or_else(|| usage())
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dialogs" => spec.dialogs = num(&mut it),
-            "--phases" => spec.phases = num(&mut it).max(1) as u32,
-            "--seed" => spec.seed = num(&mut it),
-            "--workers" => spec.workers = num(&mut it).max(1) as u32,
-            "--resize" => spec.resize_workers = num(&mut it) as u32,
-            "--hops" => spec.hops = num(&mut it).clamp(1, 4) as u32,
-            "--churn" => spec.churn_permille = num(&mut it).min(1000) as u32,
-            "--options" => spec.options_permille = num(&mut it).min(1000) as u32,
-            "--reinvites" => spec.max_reinvites = num(&mut it) as u32,
-            "--kill" => spec.kill_permille = num(&mut it).min(1000) as u32,
-            "--max-kills" => spec.max_kills_per_phase = num(&mut it) as u32,
-            "--no-reclaim" => spec.reclaim = false,
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--budget" => {
-                let s = it.next().unwrap_or_else(|| usage());
-                budget = Some(BudgetSpec::parse(s).unwrap_or_else(|e| {
-                    eprintln!("--budget: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--jobs" => jobs = num(&mut it).max(1) as usize,
-            "--checkpoint" => checkpoint_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--max-slots" => max_slots = Some(num(&mut it)),
-            "--no-filter" => no_filter = true,
-            "--mem-report" => mem_report = true,
-            "--hb-reference" => hb_reference = true,
-            "--vm-reference" => vm_reference = true,
-            _ => usage(),
-        }
-    }
-    let mut cfg = parse_detector(&detector_name);
-    if let Some(b) = &budget {
-        cfg.budget = b.detector;
-    }
-    cfg.hb_reference = hb_reference;
-    let vm_mode = if vm_reference { VmMode::Reference } else { VmMode::Compiled };
-    if let Some(b) = &budget {
-        if let Some(slots) = b.max_slots {
-            max_slots.get_or_insert(slots);
-        }
-    }
-    let use_filter = !no_filter;
-
-    // Resume from a checkpoint if one exists; otherwise start fresh (and
-    // seed the log file with its header so appends have a base).
-    let mut log = SoakLog::new(&spec);
-    if let Some(path) = &checkpoint_path {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let (parsed, committed, repaired) =
-                    SoakLog::parse_repair(&text).unwrap_or_else(|e| {
-                        eprintln!("soak: checkpoint {path}: {e}");
-                        std::process::exit(EXIT_ERROR);
-                    });
-                if parsed.params != log.params {
-                    eprintln!(
-                        "soak: checkpoint {path} was recorded with different parameters\n  \
-                         checkpoint: {}\n  requested:  {}",
-                        parsed.params, log.params
-                    );
-                    std::process::exit(EXIT_ERROR);
-                }
-                if repaired {
-                    // The dropped tail was never committed; rewrite the
-                    // file to the committed prefix so appends line up.
-                    if let Err(e) = commitlog::replace(path.as_ref(), committed) {
-                        eprintln!("soak: cannot rewrite {path}: {e}");
-                        std::process::exit(EXIT_ERROR);
-                    }
-                    eprintln!(
-                        "soak: checkpoint repaired (dropped uncommitted tail); \
-                         resuming at phase {}",
-                        parsed.next_phase()
-                    );
-                } else if parsed.next_phase() > 0 {
-                    eprintln!("soak: resuming at phase {}", parsed.next_phase());
-                }
-                log = parsed;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if let Err(e) = commitlog::create(path.as_ref(), &log.header()) {
-                    eprintln!("soak: cannot write {path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }
-            }
-            Err(e) => {
-                eprintln!("soak: cannot read {path}: {e}");
-                std::process::exit(EXIT_ERROR);
-            }
-        }
-    }
-
-    // Phases still to run, in chunks of `jobs`: each phase is independent,
-    // so the chunk fans out over the worker pool and the in-order fold
-    // (and the appended log) is identical to a sequential run.
-    let mut phase = log.next_phase();
-    while phase < spec.phases {
-        let chunk = jobs.min((spec.phases - phase) as usize);
-        let outcomes = par::map_indexed(jobs, chunk, |i| {
-            let det =
-                AnyDetector::by_name(&detector_name, cfg, helgrind_core::SuppressionSet::new());
-            run_phase_in(&spec, phase + i as u32, Some(det), use_filter, max_slots, vm_mode)
-        });
-        for out in outcomes {
-            if let Some(path) = &checkpoint_path {
-                if let Err(e) = commitlog::append(path.as_ref(), &SoakLog::phase_block(&out)) {
-                    eprintln!("soak: cannot append to {path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }
-            }
-            let s = &out.stats;
-            eprintln!(
-                "soak: phase {}/{}: {} dialog(s), {} event(s), {} kill(s), {} warning(s), \
-                 peak granules {}, {}",
-                s.phase + 1,
-                spec.phases,
-                s.dialogs,
-                s.events,
-                s.kills,
-                s.warnings,
-                s.peak_granules,
-                match &s.end {
-                    PhaseEnd::Clean => "clean".to_string(),
-                    PhaseEnd::Deadlock(n) => format!("DEADLOCK ({n} blocked)"),
-                    PhaseEnd::GuestError(e) => format!("guest error: {e}"),
-                    PhaseEnd::FuelExhausted => "slot budget exhausted".to_string(),
-                }
-            );
-            log.fold_phase(&out);
-        }
-        phase += chunk as u32;
-    }
-
-    print!("{}", log.render_summary(mem_report));
-    let guest_err = log.phases.iter().any(|p| matches!(p.end, PhaseEnd::GuestError(_)));
-    let deadlocked = log.phases.iter().any(|p| matches!(p.end, PhaseEnd::Deadlock(_)));
-    if guest_err {
-        eprintln!("soak: guest error: exiting with status {EXIT_ERROR}");
-        std::process::exit(EXIT_ERROR);
-    }
-    std::process::exit(if log.catalogue.is_empty() && !deadlocked { 0 } else { EXIT_FINDINGS });
-}
-
-/// `raceline bench-snapshot`: measure the §4.5 overhead ladder (native <
-/// VM < VM+detector) with wall-clock medians and write a machine-readable
-/// snapshot. CI's bench smoke runs this in `--quick` mode; the README's
-/// performance table is regenerated from the full run.
-fn run_bench_snapshot(args: Vec<String>) -> ! {
-    use helgrind_core::{DjitDetector, EraserDetector, HybridDetector};
-    use sipsim::native::{native_workload, vm_workload_program, WorkloadSpec};
-    use vexec::sched::RoundRobin;
-    use vexec::tool::NullTool;
-    use vexec::vm::run_program;
-
-    let mut out_path: Option<String> = None;
-    let mut samples: usize = 15;
-    let mut trace_mode = false;
-    let mut soak_mode = false;
-    let mut serve_mode = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--samples" => {
-                samples = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--quick" => samples = 3,
-            "--trace" => trace_mode = true,
-            "--soak" => soak_mode = true,
-            "--serve" => serve_mode = true,
-            _ => usage(),
-        }
-    }
-    samples = samples.max(1);
-    if trace_mode {
-        run_bench_trace(samples, out_path.unwrap_or_else(|| "BENCH_trace.json".to_string()));
-    }
-    if soak_mode {
-        run_bench_soak(samples, out_path.unwrap_or_else(|| "BENCH_soak.json".to_string()));
-    }
-    if serve_mode {
-        run_bench_serve(samples, out_path.unwrap_or_else(|| "BENCH_serve.json".to_string()));
-    }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_overhead.json".to_string());
-
-    const SPEC: WorkloadSpec = WorkloadSpec { threads: 4, iterations: 1_000, parse_reads: 32 };
-    let prog = vm_workload_program(SPEC);
-    let flat = prog.lower();
-
-    // Every row as a closure so sampling can interleave them: one timed
-    // call per row per round, not all of row A before any of row B. The
-    // headline numbers are *ratios* between rows, and on a busy host
-    // sequential sampling lets clock-speed drift between rows masquerade
-    // as detector overhead; round-robin sampling gives each row the same
-    // exposure to the machine's moods.
-    let rows: Vec<BenchRow<'_>> = vec![
-        (
-            "native-threads",
-            Box::new(|| {
-                std::hint::black_box(native_workload(SPEC));
-            }),
-        ),
-        (
-            "vm-no-tool",
-            Box::new(|| {
-                let r = run_program(&prog, &mut NullTool, &mut RoundRobin::new());
-                std::hint::black_box(r.stats.events);
-            }),
-        ),
-        // Reference-interpreter twin of the bare-VM row: the tree-walking
-        // loop the compiled operand-specialized bytecode replaced
-        // (`--vm-reference`). Output is byte-identical; the
-        // vm-no-tool-reference/vm-no-tool multiple is the compile win.
-        (
-            "vm-no-tool-reference",
-            Box::new(|| {
-                let opts = VmOptions { mode: VmMode::Reference, ..Default::default() };
-                let r = run_flat(&flat, &mut NullTool, &mut RoundRobin::new(), opts);
-                std::hint::black_box(r.stats.events);
-            }),
-        ),
-        (
-            "vm-eraser-original",
-            Box::new(|| {
-                let mut det = EraserDetector::new(DetectorConfig::original());
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        (
-            "vm-eraser-hwlc-dr",
-            Box::new(|| {
-                let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        (
-            "vm-djit",
-            Box::new(|| {
-                let mut det = DjitDetector::new(DetectorConfig::djit());
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        (
-            "vm-hybrid",
-            Box::new(|| {
-                let mut det = HybridDetector::new(DetectorConfig::hybrid());
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        // Filter-on twins of the detector rows (the plain rows are
-        // filter-off, matching what earlier snapshots measured). `check`
-        // defaults to the filtered path, so these are what users get.
-        (
-            "vm-eraser-hwlc-dr-filter",
-            Box::new(|| {
-                let mut tool = FilterTool::new(EraserDetector::new(DetectorConfig::hwlc_dr()));
-                run_program(&prog, &mut tool, &mut RoundRobin::new());
-                std::hint::black_box(tool.inner().sink.location_count());
-            }),
-        ),
-        (
-            "vm-djit-filter",
-            Box::new(|| {
-                let mut tool = FilterTool::new(DjitDetector::new(DetectorConfig::djit()));
-                run_program(&prog, &mut tool, &mut RoundRobin::new());
-                std::hint::black_box(tool.inner().sink.location_count());
-            }),
-        ),
-        (
-            "vm-hybrid-filter",
-            Box::new(|| {
-                let mut tool = FilterTool::new(HybridDetector::new(DetectorConfig::hybrid()));
-                run_program(&prog, &mut tool, &mut RoundRobin::new());
-                std::hint::black_box(tool.inner().sink.location_count());
-            }),
-        ),
-        // Reference-VC twins of the HB rows: the same detectors with the
-        // adaptive epoch lattice disabled (`--hb-reference`), i.e. the
-        // full vector-clock read state the FastTrack representation
-        // replaced. Reports are byte-identical; only the per-access cost
-        // differs.
-        (
-            "vm-djit-reference",
-            Box::new(|| {
-                let cfg = DetectorConfig { hb_reference: true, ..DetectorConfig::djit() };
-                let mut det = DjitDetector::new(cfg);
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        (
-            "vm-hybrid-reference",
-            Box::new(|| {
-                let cfg = DetectorConfig { hb_reference: true, ..DetectorConfig::hybrid() };
-                let mut det = HybridDetector::new(cfg);
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-    ];
-    let medians = median_ns_interleaved(samples, rows);
-
-    let ns_of = |name: &str| medians.iter().find(|(n, _)| *n == name).unwrap().1 as f64;
-    let native = ns_of("native-threads");
-    let vm = ns_of("vm-no-tool");
-    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-
-    // The two multiples the paper reports in §4.5: analysis vs native
-    // (20-30x there) and the bare VM tax (8-10x for uninstrumented
-    // Valgrind). Detector-over-VM isolates the shadow-memory cost this
-    // workspace's page table optimises.
-    let mut multiples: Vec<(String, Value)> =
-        vec![("vm-no-tool/native-threads".to_string(), Value::Float(ratio(vm, native)))];
-    for (name, ns) in &medians {
-        if name.starts_with("vm-") && *name != "vm-no-tool" {
-            multiples.push((format!("{name}/vm-no-tool"), Value::Float(ratio(*ns as f64, vm))));
-            multiples
-                .push((format!("{name}/native-threads"), Value::Float(ratio(*ns as f64, native))));
-        }
-    }
-    // Filter speedups: off/on per detector — the access-filter acceptance
-    // bar is ≥1.3x on vm-hybrid.
-    for base in ["vm-eraser-hwlc-dr", "vm-djit", "vm-hybrid"] {
-        multiples.push((
-            format!("{base}/{base}-filter"),
-            Value::Float(ratio(ns_of(base), ns_of(&format!("{base}-filter")))),
-        ));
-    }
-    // Epoch wins: reference-VC over adaptive per HB detector. >1.0 means
-    // the FastTrack lattice is paying for itself on this workload.
-    for base in ["vm-djit", "vm-hybrid"] {
-        multiples.push((
-            format!("{base}-reference/{base}"),
-            Value::Float(ratio(ns_of(&format!("{base}-reference")), ns_of(base))),
-        ));
-    }
-
-    // Micro-comparison of the per-access HB read check: one
-    // `Epoch::visible_to` (the O(1) fast path) against a full
-    // vector-clock clone+join+leq (the O(width) state update the epoch
-    // representation avoids). Measured over a fixed iteration count so
-    // the per-op cost is `ns / iterations`.
-    let vc_micro = {
-        use helgrind_core::{Epoch, VectorClock};
-        const ITERS: u32 = 100_000;
-        let e = Epoch { tid: 3, clock: 41 };
-        let mut tvc = VectorClock::new();
-        for t in 0..8usize {
-            tvc.set(t, 42 + t as u32);
-        }
-        let epoch_ns = median_ns(samples, || {
-            for _ in 0..ITERS {
-                std::hint::black_box(e.visible_to(std::hint::black_box(&tvc)));
-            }
-        });
-        let mut reads = VectorClock::new();
-        for t in 0..8usize {
-            reads.set(t, 7 * t as u32);
-        }
-        let vc_ns = median_ns(samples, || {
-            for _ in 0..ITERS {
-                let mut j = std::hint::black_box(&reads).clone();
-                j.set(e.tid as usize, e.clock);
-                std::hint::black_box(j.leq(std::hint::black_box(&tvc)));
-            }
-        });
-        Value::Object(vec![
-            ("iterations".to_string(), Value::UInt(ITERS as u64)),
-            ("epoch_visible_to_ns".to_string(), Value::UInt(epoch_ns)),
-            ("vc_clone_set_leq_ns".to_string(), Value::UInt(vc_ns)),
-            ("speedup".to_string(), Value::Float(ratio(vc_ns as f64, epoch_ns as f64))),
-        ])
-    };
-
-    let obj = Value::Object(vec![
-        (
-            "workload".to_string(),
-            Value::Object(vec![
-                ("threads".to_string(), Value::UInt(SPEC.threads as u64)),
-                ("iterations".to_string(), Value::UInt(SPEC.iterations)),
-                ("parse_reads".to_string(), Value::UInt(SPEC.parse_reads)),
-            ]),
-        ),
-        ("samples".to_string(), Value::UInt(samples as u64)),
-        (
-            "median_ns".to_string(),
-            Value::Object(
-                medians.iter().map(|(n, ns)| (n.to_string(), Value::UInt(*ns))).collect(),
-            ),
-        ),
-        ("multiples".to_string(), Value::Object(multiples)),
-        ("vc_micro".to_string(), vc_micro),
-        (
-            "paper".to_string(),
-            Value::Str("§4.5: analysis 20-30x slower than native; bare Valgrind 8-10x".to_string()),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, format!("{obj}\n")) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    }
-    for (name, ns) in &medians {
-        eprintln!("bench-snapshot {name}: median {:.3} ms", *ns as f64 / 1e6);
-    }
-    eprintln!(
-        "bench-snapshot: wrote {out_path} (vm/native {:.1}x, hwlc-dr/vm {:.1}x, \
-         hybrid filter speedup {:.2}x)",
-        ratio(vm, native),
-        ratio(ns_of("vm-eraser-hwlc-dr"), vm),
-        ratio(ns_of("vm-hybrid"), ns_of("vm-hybrid-filter"))
-    );
-    std::process::exit(0);
-}
-
-/// `raceline bench-snapshot --soak`: soak-phase throughput in dialogs per
-/// second, detection-on (hybrid behind the redundant-access filter, the
-/// soak default) against detection-off (counting tool), plus the peak
-/// live-granule count — the bounded-memory headline number.
-fn run_bench_soak(samples: usize, out_path: String) -> ! {
-    use helgrind_core::{AnyDetector, SuppressionSet};
-    use sipsim::{run_phase, SoakSpec};
-
-    // One calm phase (kills disarm even phases) of the default mix, big
-    // enough that per-phase setup noise vanishes.
-    let spec = SoakSpec { dialogs: 20_000, phases: 1, kill_permille: 0, ..SoakSpec::default() };
-    let dialogs = spec.phase_dialogs(0);
-    let hybrid = || AnyDetector::by_name("hybrid", DetectorConfig::hybrid(), SuppressionSet::new());
-
-    let probe = run_phase(&spec, 0, Some(hybrid()), true, None);
-    let detect_ns = median_ns(samples, || {
-        let out = run_phase(&spec, 0, Some(hybrid()), true, None);
-        std::hint::black_box(out.stats.warnings);
-    });
-    let off_ns = median_ns(samples, || {
-        let out = run_phase(&spec, 0, None, false, None);
-        std::hint::black_box(out.stats.events);
-    });
-    let per_sec = |ns: u64| if ns == 0 { 0.0 } else { dialogs as f64 / (ns as f64 / 1e9) };
-    let ratio = if detect_ns == 0 { 0.0 } else { off_ns as f64 / detect_ns as f64 };
-
-    let obj = Value::Object(vec![
-        (
-            "workload".to_string(),
-            Value::Object(vec![
-                ("dialogs".to_string(), Value::UInt(dialogs)),
-                ("workers".to_string(), Value::UInt(u64::from(spec.workers))),
-                ("events".to_string(), Value::UInt(probe.stats.events)),
-            ]),
-        ),
-        ("samples".to_string(), Value::UInt(samples as u64)),
-        (
-            "median_ns".to_string(),
-            Value::Object(vec![
-                ("soak-hybrid-filter".to_string(), Value::UInt(detect_ns)),
-                ("soak-detection-off".to_string(), Value::UInt(off_ns)),
-            ]),
-        ),
-        (
-            "dialogs_per_sec".to_string(),
-            Value::Object(vec![
-                ("soak-hybrid-filter".to_string(), Value::Float(per_sec(detect_ns))),
-                ("soak-detection-off".to_string(), Value::Float(per_sec(off_ns))),
-            ]),
-        ),
-        ("detection-off/hybrid-filter".to_string(), Value::Float(ratio)),
-        ("peak_live_granules".to_string(), Value::UInt(probe.stats.peak_granules as u64)),
-        ("warnings".to_string(), Value::UInt(probe.stats.warnings as u64)),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, format!("{obj}\n")) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    }
-    eprintln!(
-        "bench-snapshot --soak: wrote {out_path} ({:.0} dialogs/s detected vs {:.0} off, \
-         peak {} granule(s))",
-        per_sec(detect_ns),
-        per_sec(off_ns),
-        probe.stats.peak_granules
-    );
-    std::process::exit(0);
-}
-
-/// Median wall-clock nanoseconds over `samples` timed calls (after one
-/// untimed warm-up, so lazy init and cold caches don't skew the first
-/// sample).
-fn median_ns(samples: usize, mut f: impl FnMut()) -> u64 {
-    f();
-    let mut times: Vec<u64> = (0..samples)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-/// A named bench workload; boxed so heterogeneous closures can share one
-/// interleaved sampling loop.
-type BenchRow<'a> = (&'a str, Box<dyn FnMut() + 'a>);
-
-/// Per-row median wall-clock nanoseconds with round-robin sampling: each
-/// round times every row once, so slow machine drift hits all rows
-/// equally instead of biasing whichever row happened to run last. One
-/// untimed warm-up round absorbs lazy init and cold caches.
-fn median_ns_interleaved<'a>(samples: usize, mut rows: Vec<BenchRow<'a>>) -> Vec<(&'a str, u64)> {
-    for (_, f) in rows.iter_mut() {
-        f();
-    }
-    let mut times: Vec<Vec<u64>> = vec![Vec::with_capacity(samples); rows.len()];
-    for _ in 0..samples {
-        for (i, (_, f)) in rows.iter_mut().enumerate() {
-            let t = std::time::Instant::now();
-            f();
-            times[i].push(t.elapsed().as_nanos() as u64);
-        }
-    }
-    rows.iter()
-        .zip(times.iter_mut())
-        .map(|((name, _), ts)| {
-            ts.sort_unstable();
-            (*name, ts[ts.len() / 2])
-        })
-        .collect()
-}
-
-/// `raceline bench-snapshot --trace`: measure what recording costs. Two
-/// angles: end-to-end VM overhead (record tool vs no tool vs inline
-/// detectors — recording must be the cheapest instrumented mode, that is
-/// the subsystem's reason to exist) and raw codec throughput over the
-/// workload's event stream.
-/// `bench-snapshot --serve`: ingest throughput of the warehouse service
-/// over real TCP on localhost. Records the T1–T8 proxy regression traces
-/// once in memory, then times uploading the full set from 1, 4, and 8
-/// concurrent producers (each upload under a fresh build id, so every one
-/// pays full analysis), plus a dedup round that re-submits the set under
-/// one build id to exercise the content-hash fast path.
-fn run_bench_serve(samples: usize, out_path: String) -> ! {
-    use raceline_warehouse::json as wjson;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use vexec::vm::run_program;
-
-    let die = |msg: String| -> ! {
-        eprintln!("bench-snapshot --serve: {msg}");
-        std::process::exit(EXIT_ERROR);
-    };
-
-    // Record the whole regression suite once, in memory.
-    let mut traces: Vec<Vec<u8>> = Vec::new();
-    let mut total_events: u64 = 0;
-    for tc in sipsim::testcases() {
-        let built = tc.build();
-        let mut buf = Vec::with_capacity(1 << 20);
-        let mut w = TraceWriter::new(&mut buf);
-        let r = run_program(&built.program, &mut w, &mut RoundRobin::new());
-        if let Err(e) = w.finish(&r.termination, &r.stats, r.faults.as_ref()) {
-            die(format!("record {}: {e}", tc.name));
-        }
-        total_events += r.stats.events;
-        traces.push(buf);
-    }
-
-    let spool = std::env::temp_dir().join(format!("raceline-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&spool);
-    let service = Service::open(ServiceConfig {
-        spool: spool.clone(),
-        engine: "hwlc-dr".to_string(),
-        hb_reference: false,
-        jobs: 8,
-    })
-    .unwrap_or_else(|e| die(e));
-    let listener =
-        std::net::TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| die(format!("bind: {e}")));
-    let addr = listener.local_addr().unwrap_or_else(|e| die(format!("{e}"))).to_string();
-
-    let next_build = AtomicU64::new(1);
-    let (rows, dedup_uploads, dedup_hits) = std::thread::scope(|s| {
-        s.spawn(|| {
-            let _ = wserver::serve(&service, listener);
-        });
-
-        // Throughput rows: all traces uploaded, work split round-robin
-        // over P producer threads, every upload under a fresh build id.
-        let mut rows: Vec<(usize, u64)> = Vec::new();
-        for &producers in &[1usize, 4, 8] {
-            let ns = median_ns(samples, || {
-                std::thread::scope(|ps| {
-                    for p in 0..producers {
-                        let (addr, traces, next_build) = (&addr, &traces, &next_build);
-                        ps.spawn(move || {
-                            let mut i = p;
-                            while i < traces.len() {
-                                let b = next_build.fetch_add(1, Ordering::Relaxed);
-                                match wclient::submit(addr, b, &traces[i]) {
-                                    Ok(r) if r.ok() => {}
-                                    Ok(r) => die(format!(
-                                        "submit rejected: {}",
-                                        r.error().unwrap_or("unknown")
-                                    )),
-                                    Err(e) => die(e),
-                                }
-                                i += producers;
-                            }
-                        });
-                    }
-                });
-            });
-            rows.push((producers, ns));
-        }
-
-        // Dedup round: the same set twice under one build id — the second
-        // pass must hit the content-hash fast path without re-analysis.
-        let b = next_build.fetch_add(1, Ordering::Relaxed);
-        let mut dedup_uploads = 0u64;
-        let mut dedup_hits = 0u64;
-        for _ in 0..2 {
-            for t in &traces {
-                let r = wclient::submit(&addr, b, t).unwrap_or_else(|e| die(e));
-                if !r.ok() {
-                    die(format!("submit rejected: {}", r.error().unwrap_or("unknown")));
-                }
-                dedup_uploads += 1;
-                if wjson::get_bool(&r.header, "duplicate") == Some(true) {
-                    dedup_hits += 1;
-                }
-            }
-        }
-
-        let _ = wclient::request(&addr, &wclient::cmd("shutdown"), None);
-        (rows, dedup_uploads, dedup_hits)
-    });
-    let _ = std::fs::remove_dir_all(&spool);
-
-    let per_sec = |count: f64, ns: u64| if ns == 0 { 0.0 } else { count / (ns as f64 / 1e9) };
-    let producer_rows: Vec<(String, Value)> = rows
-        .iter()
-        .map(|(p, ns)| {
-            (
-                p.to_string(),
-                Value::Object(vec![
-                    ("median_ns".to_string(), Value::UInt(*ns)),
-                    ("traces_per_sec".to_string(), Value::Float(per_sec(traces.len() as f64, *ns))),
-                    ("events_per_sec".to_string(), Value::Float(per_sec(total_events as f64, *ns))),
-                ]),
-            )
-        })
-        .collect();
-    let obj = Value::Object(vec![
-        ("cases".to_string(), Value::UInt(traces.len() as u64)),
-        ("events_per_upload_set".to_string(), Value::UInt(total_events)),
-        ("samples".to_string(), Value::UInt(samples as u64)),
-        ("producers".to_string(), Value::Object(producer_rows)),
-        (
-            "dedup".to_string(),
-            Value::Object(vec![
-                ("uploads".to_string(), Value::UInt(dedup_uploads)),
-                ("hits".to_string(), Value::UInt(dedup_hits)),
-                (
-                    "hit_rate".to_string(),
-                    Value::Float(if dedup_uploads == 0 {
-                        0.0
-                    } else {
-                        dedup_hits as f64 / dedup_uploads as f64
-                    }),
-                ),
-            ]),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, format!("{obj}\n")) {
-        die(format!("cannot write {out_path}: {e}"));
-    }
-    for (p, ns) in &rows {
-        eprintln!(
-            "bench-snapshot serve: {p} producer(s): median {:.3} ms ({:.0} events/s)",
-            *ns as f64 / 1e6,
-            per_sec(total_events as f64, *ns)
-        );
-    }
-    eprintln!(
-        "bench-snapshot: wrote {out_path} (dedup hit rate {:.2})",
-        if dedup_uploads == 0 { 0.0 } else { dedup_hits as f64 / dedup_uploads as f64 }
-    );
-    std::process::exit(0);
-}
-
-fn run_bench_trace(samples: usize, out_path: String) -> ! {
-    use raceline_trace::format::{decode_record, encode_event, CodecState, Cursor};
-    use sipsim::native::{vm_workload_program, WorkloadSpec};
-    use vexec::tool::{NullTool, RecordingTool};
-    use vexec::vm::run_program;
-
-    const SPEC: WorkloadSpec = WorkloadSpec { threads: 4, iterations: 1_000, parse_reads: 16 };
-    let prog = vm_workload_program(SPEC);
-
-    let mut medians: Vec<(&str, u64)> = Vec::new();
-    medians.push((
-        "vm-no-tool",
-        median_ns(samples, || {
-            let r = run_program(&prog, &mut NullTool, &mut RoundRobin::new());
-            std::hint::black_box(r.stats.events);
-        }),
-    ));
-    medians.push((
-        "vm-record",
-        median_ns(samples, || {
-            let mut w = TraceWriter::new(Vec::with_capacity(1 << 20));
-            let r = run_program(&prog, &mut w, &mut RoundRobin::new());
-            let s = w.finish(&r.termination, &r.stats, r.faults.as_ref()).expect("vec sink");
-            std::hint::black_box(s.bytes);
-        }),
-    ));
-    medians.push((
-        "vm-eraser-hwlc-dr",
-        median_ns(samples, || {
-            let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
-            run_program(&prog, &mut det, &mut RoundRobin::new());
-            std::hint::black_box(det.sink.location_count());
-        }),
-    ));
-    medians.push((
-        "vm-hybrid",
-        median_ns(samples, || {
-            let mut det = HybridDetector::new(DetectorConfig::hybrid());
-            run_program(&prog, &mut det, &mut RoundRobin::new());
-            std::hint::black_box(det.sink.location_count());
-        }),
-    ));
-
-    // Raw codec throughput over the workload's own event stream, VM cost
-    // excluded. Symbol bounds are irrelevant here, so decode with the
-    // loosest cap.
-    let mut rec = RecordingTool::new();
-    run_program(&prog, &mut rec, &mut RoundRobin::new());
-    let events = rec.events;
-    let mut encoded = Vec::new();
-    let mut st = CodecState::default();
-    for ev in &events {
-        encode_event(&mut encoded, &mut st, ev);
-    }
-    let encode_ns = median_ns(samples, || {
-        let mut buf = Vec::with_capacity(encoded.len());
-        let mut st = CodecState::default();
-        for ev in &events {
-            encode_event(&mut buf, &mut st, ev);
-        }
-        std::hint::black_box(buf.len());
-    });
-    let decode_ns = median_ns(samples, || {
-        let mut c = Cursor::new(&encoded, 0);
-        let mut st = CodecState::default();
-        let mut n = 0u64;
-        while !c.is_empty() {
-            decode_record(&mut c, &mut st, u32::MAX).expect("self-encoded stream");
-            n += 1;
-        }
-        std::hint::black_box(n);
-    });
-    let per_sec = |ns: u64| {
-        if ns == 0 {
-            0.0
-        } else {
-            events.len() as f64 / (ns as f64 / 1e9)
-        }
-    };
-    let bytes_per_event =
-        if events.is_empty() { 0.0 } else { encoded.len() as f64 / events.len() as f64 };
-
-    let ns_of = |name: &str| medians.iter().find(|(n, _)| *n == name).unwrap().1 as f64;
-    let vm = ns_of("vm-no-tool");
-    let record = ns_of("vm-record");
-    let hybrid = ns_of("vm-hybrid");
-    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-    let multiples: Vec<(String, Value)> = vec![
-        ("vm-record/vm-no-tool".to_string(), Value::Float(ratio(record, vm))),
-        (
-            "vm-eraser-hwlc-dr/vm-no-tool".to_string(),
-            Value::Float(ratio(ns_of("vm-eraser-hwlc-dr"), vm)),
-        ),
-        ("vm-hybrid/vm-no-tool".to_string(), Value::Float(ratio(hybrid, vm))),
-        ("vm-hybrid/vm-record".to_string(), Value::Float(ratio(hybrid, record))),
-    ];
-
-    let obj = Value::Object(vec![
-        (
-            "workload".to_string(),
-            Value::Object(vec![
-                ("threads".to_string(), Value::UInt(SPEC.threads as u64)),
-                ("iterations".to_string(), Value::UInt(SPEC.iterations)),
-            ]),
-        ),
-        ("samples".to_string(), Value::UInt(samples as u64)),
-        (
-            "median_ns".to_string(),
-            Value::Object(
-                medians.iter().map(|(n, ns)| (n.to_string(), Value::UInt(*ns))).collect(),
-            ),
-        ),
-        (
-            "codec".to_string(),
-            Value::Object(vec![
-                ("events".to_string(), Value::UInt(events.len() as u64)),
-                ("encoded_bytes".to_string(), Value::UInt(encoded.len() as u64)),
-                ("bytes_per_event".to_string(), Value::Float(bytes_per_event)),
-                ("encode_events_per_sec".to_string(), Value::Float(per_sec(encode_ns))),
-                ("decode_events_per_sec".to_string(), Value::Float(per_sec(decode_ns))),
-            ]),
-        ),
-        ("multiples".to_string(), Value::Object(multiples)),
-        ("record_cheaper_than_hybrid".to_string(), Value::Bool(record < hybrid)),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, format!("{obj}\n")) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    }
-    for (name, ns) in &medians {
-        eprintln!("bench-snapshot {name}: median {:.3} ms", *ns as f64 / 1e6);
-    }
-    eprintln!(
-        "bench-snapshot: wrote {out_path} (record/vm {:.2}x, hybrid/record {:.2}x, \
-         {:.1} B/event)",
-        ratio(record, vm),
-        ratio(hybrid, record),
-        bytes_per_event
-    );
-    std::process::exit(0);
+    std::process::exit(raceline::cmd::main(std::env::args().skip(1).collect()));
 }

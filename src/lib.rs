@@ -41,6 +41,8 @@
 //! assert_eq!(detector.sink.race_location_count(), 1);
 //! ```
 
+pub mod cmd;
+
 pub use cxxmodel;
 pub use helgrind_core;
 pub use minicpp;

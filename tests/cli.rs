@@ -93,6 +93,18 @@ fn pct_schedule_accepted() {
 }
 
 #[test]
+fn malformed_pct_depth_exits_2() {
+    for schedule in ["pct:5:abc", "pct:5:2:junk", "pct:5:", "pct:x"] {
+        let (stdout, stderr, code) = raceline(&["check", SAMPLE, "--schedule", schedule]);
+        assert_eq!(code, 2, "{schedule}: {stderr}");
+        assert!(stdout.is_empty(), "{schedule} must not run\n{stdout}");
+    }
+    // The depth is optional: `pct:<seed>` runs at depth 2.
+    let (_, stderr, code) = raceline(&["check", SAMPLE, "--schedule", "pct:5"]);
+    assert!(code == 0 || code == 1, "{stderr}");
+}
+
+#[test]
 fn bad_usage_exits_2() {
     let (_, _, code) = raceline(&["check"]);
     assert_eq!(code, 2);
@@ -328,6 +340,19 @@ fn explore_checkpoint_round_trips() {
         stdout2.lines().next(),
         "aggregate line must agree: {stdout} vs {stdout2}"
     );
+}
+
+#[test]
+fn unreadable_explore_checkpoint_exits_2_and_is_left_untouched() {
+    let path = std::env::temp_dir().join("raceline_explore_unreadable.ck");
+    let bytes: &[u8] = b"\xff\xfe\x00 not a checkpoint";
+    std::fs::write(&path, bytes).unwrap();
+    let p = path.to_str().unwrap();
+    let (stdout, stderr, code) = raceline(&["check", SAMPLE, "--explore", "3", "--checkpoint", p]);
+    assert_eq!(code, 2, "{stdout}{stderr}");
+    assert!(stderr.contains("cannot read checkpoint"), "{stderr}");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "the checkpoint must not be overwritten");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
