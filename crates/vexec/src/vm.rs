@@ -1035,8 +1035,7 @@ impl<'p> Vm<'p> {
                 self.stats.interp.fused += 1;
                 {
                     let t = &mut self.threads[ti];
-                    let base =
-                        t.frames.last().expect("running thread has a frame").base as usize;
+                    let base = t.frames.last().expect("running thread has a frame").base as usize;
                     let v = compile::eval_operand(
                         value,
                         &t.stack[base..],
@@ -1056,7 +1055,13 @@ impl<'p> Vm<'p> {
                     f.cur_loc = *loc;
                     let regs = &t.stack[f.base as usize..];
                     (
-                        compile::eval_operand(addr, regs, &self.global_addrs, pool, &self.slot_evals),
+                        compile::eval_operand(
+                            addr,
+                            regs,
+                            &self.global_addrs,
+                            pool,
+                            &self.slot_evals,
+                        ),
                         compile::eval_operand(
                             stored,
                             regs,
@@ -1066,9 +1071,11 @@ impl<'p> Vm<'p> {
                         ),
                     )
                 };
-                self.heap
-                    .write(a, *size, v)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                self.heap.write(a, *size, v).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 self.threads[ti].frames.last_mut().expect("running thread has a frame").pc += 1;
                 self.pending.push(Event::Access {
                     tid,
@@ -1085,8 +1092,7 @@ impl<'p> Vm<'p> {
                 self.stats.interp.fused += 1;
                 {
                     let t = &mut self.threads[ti];
-                    let base =
-                        t.frames.last().expect("running thread has a frame").base as usize;
+                    let base = t.frames.last().expect("running thread has a frame").base as usize;
                     let slot = &mut t.stack[base + reg.0 as usize];
                     *slot = slot.wrapping_sub(1);
                 }
@@ -1136,10 +1142,11 @@ impl<'p> Vm<'p> {
                         &self.slot_evals,
                     )
                 };
-                let v = self
-                    .heap
-                    .read(a, *size)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                let v = self.heap.read(a, *size).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 {
                     let t = &mut self.threads[ti];
                     let f = t.frames.last_mut().expect("running thread has a frame");
@@ -1164,7 +1171,13 @@ impl<'p> Vm<'p> {
                     f.cur_loc = *loc;
                     let regs = &t.stack[f.base as usize..];
                     (
-                        compile::eval_operand(addr, regs, &self.global_addrs, pool, &self.slot_evals),
+                        compile::eval_operand(
+                            addr,
+                            regs,
+                            &self.global_addrs,
+                            pool,
+                            &self.slot_evals,
+                        ),
                         compile::eval_operand(
                             value,
                             regs,
@@ -1174,9 +1187,11 @@ impl<'p> Vm<'p> {
                         ),
                     )
                 };
-                self.heap
-                    .write(a, *size, v)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                self.heap.write(a, *size, v).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 self.threads[ti].frames.last_mut().expect("running thread has a frame").pc += 1;
                 self.pending.push(Event::Access {
                     tid,
@@ -1195,7 +1210,13 @@ impl<'p> Vm<'p> {
                     f.cur_loc = *loc;
                     let regs = &t.stack[f.base as usize..];
                     (
-                        compile::eval_operand(addr, regs, &self.global_addrs, pool, &self.slot_evals),
+                        compile::eval_operand(
+                            addr,
+                            regs,
+                            &self.global_addrs,
+                            pool,
+                            &self.slot_evals,
+                        ),
                         compile::eval_operand(
                             delta,
                             regs,
@@ -1205,13 +1226,16 @@ impl<'p> Vm<'p> {
                         ),
                     )
                 };
-                let old = self
-                    .heap
-                    .read(a, *size)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
-                self.heap
-                    .write(a, *size, old.wrapping_add(d))
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                let old = self.heap.read(a, *size).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
+                self.heap.write(a, *size, old.wrapping_add(d)).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 {
                     let t = &mut self.threads[ti];
                     let f = t.frames.last_mut().expect("running thread has a frame");
@@ -1455,10 +1479,11 @@ impl<'p> Vm<'p> {
                 self.stats.interp.heap += 1;
                 self.set_loc(tid, *loc);
                 let a = self.ceval(tid, addr, comp);
-                let blk = self
-                    .heap
-                    .free(a)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                let blk = self.heap.free(a).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 self.advance(tid);
                 self.pending.push(Event::Free { tid, addr: a, size: blk.size, loc: *loc });
                 Ok(Flow::Emitted)
@@ -2230,7 +2255,11 @@ impl<'p> PreparedProgram<'p> {
     }
 
     pub fn mode(&self) -> VmMode {
-        if self.code.is_some() { VmMode::Compiled } else { VmMode::Reference }
+        if self.code.is_some() {
+            VmMode::Compiled
+        } else {
+            VmMode::Reference
+        }
     }
 
     pub fn program(&self) -> &'p FlatProgram {
@@ -2244,7 +2273,12 @@ impl<'p> PreparedProgram<'p> {
 
     /// Run one execution on the prepared core. The engine choice is fixed
     /// at construction; `opts.mode` is ignored here.
-    pub fn run(&self, tool: &mut dyn Tool, sched: &mut dyn Scheduler, opts: VmOptions) -> RunResult {
+    pub fn run(
+        &self,
+        tool: &mut dyn Tool,
+        sched: &mut dyn Scheduler,
+        opts: VmOptions,
+    ) -> RunResult {
         match &self.code {
             Some(code) => Vm::with_compiled(self.prog, code, opts).run(tool, sched),
             None => Vm::new(self.prog, opts).run(tool, sched),
