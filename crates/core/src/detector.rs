@@ -20,7 +20,9 @@
 use crate::config::DetectorConfig;
 use crate::eraser::{LocksetEngine, RaceInfo};
 use crate::hb::{EpochStats, HbEngine, HbRaceInfo};
+use crate::live::{Fold, LiveRun};
 use crate::lockorder::{CycleInfo, LockOrderGraph};
+use crate::replay::ReplayCtx;
 use crate::report::{resolve_context, Report, ReportCtx, ReportKind, ReportSink};
 use crate::suppress::SuppressionSet;
 use vexec::event::{AccessKind, Event, ThreadId};
@@ -284,12 +286,49 @@ impl Tool for DjitDetector {
 /// the HB side via `DetectorConfig::hybrid_queue_hb()`, implementing the
 /// paper's §5 proposal and eliminating the Fig 11 thread-pool false
 /// positives.
+///
+/// As a live [`Tool`] it runs both engines off the VM thread: each event
+/// becomes `.rltrace` records that a worker folds through the same
+/// [`crate::ReplayCtx`] and [`HybridDetector::handle_event`] step that
+/// `analyze` uses (the `live` module). `on_finish` waits for the fold
+/// and puts the engines back, so everything read after a run — `sink`,
+/// [`HybridDetector::engine_stats`], [`HybridDetector::truncated`] — is
+/// what the inline fold would have left.
 pub struct HybridDetector {
-    lockset: LocksetEngine,
-    hb: HbEngine,
+    /// Both engines; lent to the fold while a live run is in flight.
+    engines: Option<Box<HybridEngines>>,
     pub sink: ReportSink,
     /// Rendered guest fault, if the run ended with one.
     pub guest_fault: Option<String>,
+    live: Option<LiveRun>,
+    fold_inline: bool,
+}
+
+/// The two engines hybrid detection runs over every event.
+pub(crate) struct HybridEngines {
+    lockset: LocksetEngine,
+    hb: HbEngine,
+}
+
+impl HybridEngines {
+    /// Feed one event to both engines; a race both flag goes to `sink`.
+    pub(crate) fn handle_event(&mut self, sink: &mut ReportSink, ev: &Event, ctx: &dyn ReportCtx) {
+        let ls_race = self.lockset.on_event(ev);
+        let hb_race = self.hb.on_event(ev);
+        if let (Some(ls), Some(hb)) = (ls_race, hb_race) {
+            let kind = race_report_kind(ls.kind);
+            if sink.seen(kind, ls.loc) {
+                return;
+            }
+            let details = format!(
+                "Previous state: {}; hb: {}",
+                ls.prev_state.describe(&self.lockset.table),
+                hb.conflict
+            );
+            let report = build_report(ctx, kind, ls.tid, ls.addr, ls.loc, details);
+            sink.add(ls.loc, report);
+        }
+    }
 }
 
 impl HybridDetector {
@@ -304,53 +343,59 @@ impl HybridDetector {
         hb.set_report_once(false);
         let mut sink = ReportSink::new();
         sink.set_max_reports(cfg.budget.max_reports);
-        HybridDetector { lockset, hb, sink, guest_fault: None }
+        HybridDetector {
+            engines: Some(Box::new(HybridEngines { lockset, hb })),
+            sink,
+            guest_fault: None,
+            live: None,
+            fold_inline: false,
+        }
+    }
+
+    /// Fold live runs on the VM thread, one chunk at a time, as a host
+    /// with a single CPU does. Reports are the same either way.
+    pub fn fold_inline(mut self) -> Self {
+        self.fold_inline = true;
+        self
+    }
+
+    fn engines(&self) -> &HybridEngines {
+        self.engines.as_deref().expect("hybrid engines are lent to a live run")
     }
 
     /// Analysis counters for `--stats`.
     pub fn engine_stats(&self) -> Vec<EngineStats> {
+        let HybridEngines { lockset, hb } = self.engines();
         vec![
             EngineStats {
                 name: "lockset",
-                accesses: self.lockset.accesses,
-                shadow_overflow: self.lockset.shadow_overflow(),
-                live_granules: self.lockset.shadowed_granules(),
-                peak_granules: self.lockset.peak_shadowed_granules(),
+                accesses: lockset.accesses,
+                shadow_overflow: lockset.shadow_overflow(),
+                live_granules: lockset.shadowed_granules(),
+                peak_granules: lockset.peak_shadowed_granules(),
                 epoch: None,
             },
             EngineStats {
                 name: "hb",
-                accesses: self.hb.accesses,
-                shadow_overflow: self.hb.shadow_overflow(),
-                live_granules: self.hb.shadowed_granules(),
-                peak_granules: self.hb.peak_shadowed_granules(),
-                epoch: Some(self.hb.epoch_stats()),
+                accesses: hb.accesses,
+                shadow_overflow: hb.shadow_overflow(),
+                live_granules: hb.shadowed_granules(),
+                peak_granules: hb.peak_shadowed_granules(),
+                epoch: Some(hb.epoch_stats()),
             },
         ]
     }
 
     /// True if any budget cap degraded this run's results.
     pub fn truncated(&self) -> bool {
-        self.lockset.truncated() || self.hb.truncated() || self.sink.truncated()
+        let e = self.engines();
+        e.lockset.truncated() || e.hb.truncated() || self.sink.truncated()
     }
 
     /// Feed one event; context-agnostic (inline VM or trace replay).
     pub fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
-        let ls_race = self.lockset.on_event(ev);
-        let hb_race = self.hb.on_event(ev);
-        if let (Some(ls), Some(hb)) = (ls_race, hb_race) {
-            let kind = race_report_kind(ls.kind);
-            if self.sink.seen(kind, ls.loc) {
-                return;
-            }
-            let details = format!(
-                "Previous state: {}; hb: {}",
-                ls.prev_state.describe(&self.lockset.table),
-                hb.conflict
-            );
-            let report = build_report(ctx, kind, ls.tid, ls.addr, ls.loc, details);
-            self.sink.add(ls.loc, report);
-        }
+        let engines = self.engines.as_deref_mut().expect("hybrid engines are lent to a live run");
+        engines.handle_event(&mut self.sink, ev, ctx);
     }
 
     /// End-of-stream flush (mirrors [`Tool::on_finish`]).
@@ -362,15 +407,36 @@ impl HybridDetector {
 }
 
 impl Tool for HybridDetector {
+    // Out of line: the Hybrid arm of `AnyDetector::on_event` must not grow
+    // the dispatch that the single-engine arms share.
+    #[inline(never)]
     fn on_event(&mut self, ev: &Event, vm: &VmView<'_>) {
-        self.handle_event(ev, vm);
+        if self.live.is_none() {
+            let fold = Fold {
+                engines: self.engines.take().expect("one live run at a time"),
+                sink: std::mem::take(&mut self.sink),
+                guest_fault: self.guest_fault.take(),
+                ctx: ReplayCtx::from_view(vm),
+            };
+            self.live = Some(LiveRun::start(Box::new(fold), self.fold_inline));
+        }
+        self.live.as_mut().expect("started above").push(ev, vm);
     }
 
     fn on_guest_fault(&mut self, err: &GuestError, _vm: &VmView<'_>) {
-        self.guest_fault = Some(err.to_string());
+        match &mut self.live {
+            Some(live) => live.fault(err.to_string()),
+            None => self.guest_fault = Some(err.to_string()),
+        }
     }
 
     fn on_finish(&mut self, _vm: &VmView<'_>) {
+        if let Some(live) = self.live.take() {
+            let fold = live.finish();
+            self.engines = Some(fold.engines);
+            self.sink = fold.sink;
+            self.guest_fault = fold.guest_fault;
+        }
         self.handle_finish();
     }
 }

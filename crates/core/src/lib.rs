@@ -32,6 +32,7 @@ pub mod detector;
 pub mod eraser;
 pub mod explore;
 pub mod hb;
+mod live;
 pub mod lockorder;
 pub mod locksets;
 pub mod par;

@@ -31,9 +31,10 @@ use std::collections::BTreeMap;
 
 use raceline_trace::format::{TraceError, TraceFooter, TraceRecord};
 use raceline_trace::reader::{decode_epoch, parse_trace, parse_trace_repair, ParsedTrace};
+use raceline_trace::stack::{overwrite_top, Frame};
 use vexec::event::{Event, ThreadId};
-use vexec::ir::SrcLoc;
 use vexec::util::Symbol;
+use vexec::vm::VmView;
 
 use crate::detector::{AnyDetector, EngineStats};
 use crate::report::{format_block_note, Report, ReportCtx, StackFrame};
@@ -55,22 +56,46 @@ pub struct ReplayOutcome {
     pub engine_stats: Vec<EngineStats>,
 }
 
+/// One heap block: size, allocating thread, freed flag.
+type BlockRec = (u64, u32, bool);
+
 /// Reconstructed report context: symbol table, per-thread backtraces,
-/// heap blocks. The offline twin of the live `VmView`.
+/// heap blocks. The offline twin of the live `VmView`, and what the live
+/// hybrid analysis folds its record stream through.
 pub struct ReplayCtx {
     symbols: Vec<String>,
-    stacks: Vec<Vec<(Symbol, SrcLoc)>>,
-    /// addr → (size, alloc_tid, freed); mirrors the VM's bump allocator
-    /// (freed blocks stay, marked).
-    blocks: BTreeMap<u64, (u64, u32, bool)>,
+    stacks: Vec<Vec<Frame>>,
+    /// Blocks by address; mirrors the VM's bump allocator (freed blocks
+    /// stay, marked). Addresses only grow, so a recorded stream only ever
+    /// appends here. An address at or below the last one that is not
+    /// already known — only hand-made or hostile traces have them — goes
+    /// to `strays` instead, so no input makes insertion quadratic.
+    blocks: Vec<(u64, BlockRec)>,
+    strays: BTreeMap<u64, BlockRec>,
 }
 
 impl ReplayCtx {
-    fn new(symbols: Vec<String>, blocks: BTreeMap<u64, (u64, u32, bool)>) -> Self {
-        ReplayCtx { symbols, stacks: Vec::new(), blocks }
+    fn new(symbols: Vec<String>, initial: impl IntoIterator<Item = (u64, BlockRec)>) -> Self {
+        let mut ctx =
+            ReplayCtx { symbols, stacks: Vec::new(), blocks: Vec::new(), strays: BTreeMap::new() };
+        for (addr, b) in initial {
+            *ctx.block_mut(addr, b) = b;
+        }
+        ctx
     }
 
-    fn stack_mut(&mut self, tid: ThreadId) -> &mut Vec<(Symbol, SrcLoc)> {
+    /// The context a trace written at this point of a live run would
+    /// start from: the run's symbol table and its heap blocks so far
+    /// (what `TraceWriter` puts in the header).
+    pub(crate) fn from_view(vm: &VmView<'_>) -> Self {
+        let interner = vm.interner();
+        let symbols =
+            (0..interner.len()).map(|i| interner.resolve(Symbol(i as u32)).to_string()).collect();
+        let blocks = vm.heap_blocks().iter().map(|b| (b.addr, (b.size, b.alloc_tid.0, b.freed)));
+        ReplayCtx::new(symbols, blocks)
+    }
+
+    fn stack_mut(&mut self, tid: ThreadId) -> &mut Vec<Frame> {
         let i = tid.index();
         if i >= self.stacks.len() {
             self.stacks.resize_with(i + 1, Vec::new);
@@ -78,29 +103,44 @@ impl ReplayCtx {
         &mut self.stacks[i]
     }
 
-    /// The VM overwrites the top frame's current location as each op
-    /// executes; the reader applies the same rule per event so the writer
-    /// only needs explicit records on push/pop boundaries.
-    fn apply_top_frame(&mut self, ev: &Event) {
-        if let Some(loc) = ev.loc() {
-            if let Some(top) = self.stack_mut(ev.tid()).last_mut() {
-                top.1 = loc;
-                if loc.func != Symbol::EMPTY {
-                    top.0 = loc.func;
-                }
-            }
+    /// The block starting at `addr`, inserted as `fresh` if unknown.
+    fn block_mut(&mut self, addr: u64, fresh: BlockRec) -> &mut BlockRec {
+        if self.blocks.last().is_none_or(|&(last, _)| last < addr) {
+            self.blocks.push((addr, fresh));
+            return &mut self.blocks.last_mut().expect("just pushed").1;
+        }
+        match self.blocks.binary_search_by_key(&addr, |&(a, _)| a) {
+            Ok(i) => &mut self.blocks[i].1,
+            Err(_) => self.strays.entry(addr).or_insert(fresh),
         }
     }
 
-    fn apply_blocks(&mut self, ev: &Event) {
-        match *ev {
-            Event::Alloc { tid, addr, size, .. } => {
-                self.blocks.insert(addr, (size, tid.0, false));
+    /// Apply one record in stream order: stack deltas, then for an event
+    /// the top-frame rule and its heap bookkeeping. After this the context
+    /// shows what the live `VmView` showed when the event was delivered.
+    pub fn apply(&mut self, rec: &TraceRecord) {
+        match *rec {
+            TraceRecord::StackPush { tid, func, loc } => self.stack_mut(tid).push((func, loc)),
+            TraceRecord::StackPop { tid, n } => {
+                let stack = self.stack_mut(tid);
+                stack.truncate(stack.len().saturating_sub(n as usize));
             }
-            Event::Free { tid, addr, size, .. } => {
-                self.blocks.entry(addr).and_modify(|b| b.2 = true).or_insert((size, tid.0, true));
+            TraceRecord::Event(ref ev) => {
+                if let Some(loc) = ev.loc() {
+                    if let Some(top) = self.stack_mut(ev.tid()).last_mut() {
+                        overwrite_top(top, loc);
+                    }
+                }
+                match *ev {
+                    Event::Alloc { tid, addr, size, .. } => {
+                        *self.block_mut(addr, (size, tid.0, false)) = (size, tid.0, false);
+                    }
+                    Event::Free { tid, addr, size, .. } => {
+                        self.block_mut(addr, (size, tid.0, true)).2 = true;
+                    }
+                    _ => {}
+                }
             }
-            _ => {}
         }
     }
 }
@@ -126,7 +166,13 @@ impl ReportCtx for ReplayCtx {
     }
 
     fn block_note(&self, addr: u64) -> Option<String> {
-        let (&base, &(size, alloc_tid, freed)) = self.blocks.range(..=addr).next_back()?;
+        let i = self.blocks.partition_point(|&(a, _)| a <= addr);
+        let sorted = i.checked_sub(1).map(|i| self.blocks[i]);
+        let stray = self.strays.range(..=addr).next_back().map(|(&a, &b)| (a, b));
+        let (base, (size, alloc_tid, freed)) = match (sorted, stray) {
+            (Some(s), Some(t)) => s.max(t),
+            (s, t) => s.or(t)?,
+        };
         (addr < base + size).then(|| format_block_note(addr, base, size, alloc_tid, freed))
     }
 }
@@ -198,12 +244,8 @@ fn analyze_parsed(
 ) -> Result<ReplayOutcome, TraceError> {
     let decoded = decode_epochs(bytes, &parsed, jobs)?;
 
-    let blocks: BTreeMap<u64, (u64, u32, bool)> = parsed
-        .header
-        .initial_blocks
-        .iter()
-        .map(|b| (b.addr, (b.size, b.alloc_tid, b.freed)))
-        .collect();
+    let blocks =
+        parsed.header.initial_blocks.iter().map(|b| (b.addr, (b.size, b.alloc_tid, b.freed)));
     let mut ctx = ReplayCtx::new(parsed.header.symbols.clone(), blocks);
     let mut counts: Vec<u64> = Vec::new();
     let mut dispatched: u64 = 0;
@@ -245,28 +287,17 @@ fn analyze_parsed(
             }
         }
         for rec in recs {
-            match *rec {
-                TraceRecord::StackPush { tid, func, loc } => {
-                    ctx.stack_mut(tid).push((func, loc));
+            ctx.apply(rec);
+            if let TraceRecord::Event(ev) = rec {
+                if epoch >= from_epoch {
+                    detector.handle_event(ev, &ctx);
+                    dispatched += 1;
                 }
-                TraceRecord::StackPop { tid, n } => {
-                    let stack = ctx.stack_mut(tid);
-                    let keep = stack.len().saturating_sub(n as usize);
-                    stack.truncate(keep);
+                let i = ev.tid().index();
+                if i >= counts.len() {
+                    counts.resize(i + 1, 0);
                 }
-                TraceRecord::Event(ev) => {
-                    ctx.apply_top_frame(&ev);
-                    ctx.apply_blocks(&ev);
-                    if epoch >= from_epoch {
-                        detector.handle_event(&ev, &ctx);
-                        dispatched += 1;
-                    }
-                    let i = ev.tid().index();
-                    if i >= counts.len() {
-                        counts.resize(i + 1, 0);
-                    }
-                    counts[i] += 1;
-                }
+                counts[i] += 1;
             }
         }
     }

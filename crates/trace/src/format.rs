@@ -565,6 +565,15 @@ pub fn encode_stack_pop(out: &mut Vec<u8>, tid: ThreadId, n: u32) {
     put_uvarint(out, u64::from(n));
 }
 
+/// Append any payload record.
+pub fn encode_record(out: &mut Vec<u8>, state: &mut CodecState, rec: &TraceRecord) {
+    match *rec {
+        TraceRecord::Event(ref ev) => encode_event(out, state, ev),
+        TraceRecord::StackPush { tid, func, loc } => encode_stack_push(out, state, tid, func, loc),
+        TraceRecord::StackPop { tid, n } => encode_stack_pop(out, tid, n),
+    }
+}
+
 /// Decode one payload record. `nsyms` bounds every symbol reference.
 pub fn decode_record(
     c: &mut Cursor<'_>,

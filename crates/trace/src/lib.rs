@@ -20,7 +20,8 @@
 //!
 //! Wire format details live in DESIGN.md §9; the codec itself is split
 //! across [`varint`] (LEB128 + zigzag primitives), [`format`] (record
-//! tags, frame layout, encode/decode), [`writer`], and [`reader`].
+//! tags, frame layout, encode/decode), [`stack`] (the backtrace mirror
+//! both the writer and live consumers keep), [`writer`], and [`reader`].
 //!
 //! Robustness contract: no input, however corrupted, truncated, or
 //! version-skewed, may panic a reader — every failure is a structured
@@ -29,6 +30,7 @@
 
 pub mod format;
 pub mod reader;
+pub mod stack;
 pub mod varint;
 pub mod writer;
 
@@ -37,4 +39,5 @@ pub use format::{
     TraceRecord, TraceTermination, TraceWait, MAGIC, VERSION,
 };
 pub use reader::{decode_epoch, parse_trace, EpochDesc, ParsedTrace, TraceReader};
+pub use stack::StackMirror;
 pub use writer::{trace_termination, TraceSummary, TraceWriter, DEFAULT_EPOCH_EVENTS};

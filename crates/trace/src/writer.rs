@@ -5,11 +5,11 @@
 //! just per-thread delta compression of the event stream plus two mirrors
 //! the offline reader needs to reproduce inline reports byte-for-byte:
 //!
-//! * a **stack mirror** per thread, kept in sync with the VM's real
-//!   backtrace via explicit `StackPush`/`StackPop` records. The reader
-//!   applies the same "current location overwrites the top frame" rule the
-//!   VM uses, so for straight-line code within one function no stack
-//!   records are emitted at all;
+//! * a **stack mirror** per thread ([`StackMirror`]), kept in sync with
+//!   the VM's real backtrace via explicit `StackPush`/`StackPop` records.
+//!   The reader applies the same "current location overwrites the top
+//!   frame" rule the VM uses, so for straight-line code within one
+//!   function no stack records are emitted at all;
 //! * a **held-lock mirror** per thread, snapshotted into each epoch frame
 //!   so analysis can start mid-trace with primed lockset state.
 //!
@@ -20,16 +20,16 @@ use std::io::Write;
 
 use vexec::event::{Event, ThreadId};
 use vexec::faults::FaultStats;
-use vexec::ir::SrcLoc;
 use vexec::tool::Tool;
 use vexec::util::Symbol;
 use vexec::vm::{GuestError, RunStats, Termination, VmView};
 
 use crate::format::{
-    encode_event, encode_footer_body, encode_header, encode_snapshot, encode_stack_pop,
-    encode_stack_push, CodecState, EpochSnapshot, Fnv1a, HeldLock, ThreadSnap, TraceBlock,
-    TraceError, TraceFooter, TraceTermination, TraceWait, END_MAGIC, TAG_EPOCH, TAG_FOOTER,
+    encode_event, encode_footer_body, encode_header, encode_record, encode_snapshot, CodecState,
+    EpochSnapshot, Fnv1a, HeldLock, ThreadSnap, TraceBlock, TraceError, TraceFooter,
+    TraceTermination, TraceWait, END_MAGIC, TAG_EPOCH, TAG_FOOTER,
 };
+use crate::stack::StackMirror;
 
 /// Default number of events per epoch frame. Small enough that `analyze
 /// --jobs N` gets useful parallelism on medium traces, large enough that
@@ -48,8 +48,6 @@ pub struct TraceSummary {
 struct ThreadMirror {
     /// Events this thread has emitted so far.
     seq: u64,
-    /// Reader-visible backtrace, outermost first.
-    stack: Vec<(Symbol, SrcLoc)>,
     /// Locks currently held (Acquire/Release bookkeeping).
     held: Vec<HeldLock>,
 }
@@ -62,6 +60,7 @@ pub struct TraceWriter<W: Write> {
     err: Option<std::io::Error>,
     header_written: bool,
     threads: Vec<ThreadMirror>,
+    stacks: StackMirror,
     codec: CodecState,
     epoch_buf: Vec<u8>,
     epoch_events: u64,
@@ -80,6 +79,7 @@ impl<W: Write> TraceWriter<W> {
             err: None,
             header_written: false,
             threads: Vec::new(),
+            stacks: StackMirror::new(),
             codec: CodecState::default(),
             epoch_buf: Vec::with_capacity(64 * 1024),
             epoch_events: 0,
@@ -154,82 +154,6 @@ impl<W: Write> TraceWriter<W> {
         let hdr = encode_header(&symbols, &blocks);
         self.emit(&hdr);
         self.pending_snapshot = self.capture_snapshot();
-    }
-
-    /// Reconcile the reader-visible stack mirror of `tid` with the VM's
-    /// real backtrace, emitting the minimal pop/push delta. When the only
-    /// difference is the top frame's location — the overwhelmingly common
-    /// case — the reader's top-frame-overwrite rule absorbs it and no
-    /// records are needed.
-    fn sync_stack(&mut self, tid: ThreadId, vm: &VmView<'_>, ev_loc: Option<SrcLoc>) {
-        let n = vm.frame_count(tid);
-        let i = tid.index();
-        if i >= self.threads.len() {
-            self.threads.resize_with(i + 1, ThreadMirror::default);
-        }
-
-        // Fast path (the overwhelmingly common case: consecutive events in
-        // the same call nest): same depth, outer frames unchanged, and the
-        // reader's top-frame-overwrite rule reproduces the top frame. No
-        // records, no allocation.
-        let mirror = &mut self.threads[i].stack;
-        if mirror.len() == n && n > 0 {
-            let outer_same = (0..n - 1).all(|d| {
-                let f = vm.frame_info(tid, d);
-                mirror[d] == (f.func, f.loc)
-            });
-            if outer_same {
-                let top = vm.frame_info(tid, n - 1);
-                let (mut pf, mut ploc) = mirror[n - 1];
-                if let Some(loc) = ev_loc {
-                    ploc = loc;
-                    if loc.func != Symbol::EMPTY {
-                        pf = loc.func;
-                    }
-                }
-                if (pf, ploc) == (top.func, top.loc) {
-                    mirror[n - 1] = (top.func, top.loc);
-                    return;
-                }
-            }
-        } else if mirror.is_empty() && n == 0 {
-            return;
-        }
-
-        // Slow path (frame boundary): materialise the true backtrace and
-        // emit the minimal pop/push delta against the reader's predicted
-        // state.
-        let mut truth: Vec<(Symbol, SrcLoc)> = Vec::with_capacity(n);
-        for d in 0..n {
-            let f = vm.frame_info(tid, d);
-            truth.push((f.func, f.loc));
-        }
-        let mirror = &self.threads[i].stack;
-        // What the reader's mirror will look like after it applies the
-        // top-frame-overwrite rule for this event, if we emit nothing.
-        let mut predicted = mirror.clone();
-        if let Some(loc) = ev_loc {
-            if let Some(top) = predicted.last_mut() {
-                top.1 = loc;
-                if loc.func != Symbol::EMPTY {
-                    top.0 = loc.func;
-                }
-            }
-        }
-        if predicted != truth {
-            let mut common = 0;
-            while common < mirror.len() && common < truth.len() && mirror[common] == truth[common] {
-                common += 1;
-            }
-            let pops = (mirror.len() - common) as u32;
-            if pops > 0 {
-                encode_stack_pop(&mut self.epoch_buf, tid, pops);
-            }
-            for &(func, loc) in &truth[common..] {
-                encode_stack_push(&mut self.epoch_buf, &mut self.codec, tid, func, loc);
-            }
-        }
-        self.threads[i].stack = truth;
     }
 
     fn track_locks(&mut self, ev: &Event) {
@@ -336,7 +260,8 @@ impl<W: Write> Tool for TraceWriter<W> {
         }
         self.ensure_header(vm);
         let tid = ev.tid();
-        self.sync_stack(tid, vm, ev.loc());
+        let (buf, codec) = (&mut self.epoch_buf, &mut self.codec);
+        self.stacks.sync(tid, vm, ev.loc(), |rec| encode_record(buf, codec, &rec));
         self.track_locks(ev);
         self.mirror_mut(tid).seq += 1;
         encode_event(&mut self.epoch_buf, &mut self.codec, ev);

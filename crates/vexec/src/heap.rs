@@ -10,8 +10,6 @@
 //! cannot see through.
 
 use crate::event::ThreadId;
-use crate::ir::SrcLoc;
-use std::collections::BTreeMap;
 
 /// Lowest guest address; accesses below this are wild.
 pub const GUEST_BASE: u64 = 0x1000;
@@ -24,7 +22,6 @@ pub struct Block {
     pub addr: u64,
     pub size: u64,
     pub alloc_tid: ThreadId,
-    pub alloc_loc: SrcLoc,
     pub freed: bool,
 }
 
@@ -59,25 +56,33 @@ impl std::fmt::Display for MemError {
 pub struct Heap {
     mem: Vec<u8>,
     next: u64,
+    /// Every block, in allocation order — which the bump allocator makes
+    /// address order too, so lookups binary-search it.
     blocks: Vec<Block>,
-    by_addr: BTreeMap<u64, u32>,
 }
 
 impl Heap {
     pub fn new() -> Self {
-        Heap { mem: Vec::new(), next: GUEST_BASE, blocks: Vec::new(), by_addr: BTreeMap::new() }
+        Heap { mem: Vec::new(), next: GUEST_BASE, blocks: Vec::new() }
     }
 
+    /// Grow the arena to cover every byte below `end`, zero-filling only
+    /// those bytes (`Vec` growth keeps the pushes amortised).
     fn ensure(&mut self, end: u64) {
         let need = (end - GUEST_BASE) as usize;
         if self.mem.len() < need {
-            self.mem.resize(need.next_power_of_two().max(4096), 0);
+            self.mem.resize(need, 0);
         }
+    }
+
+    /// Index of the last block starting at or below `addr`.
+    fn block_at_or_below(&self, addr: u64) -> Option<usize> {
+        self.blocks.partition_point(|b| b.addr <= addr).checked_sub(1)
     }
 
     /// Allocate `size` bytes (zero-initialised). Zero-size requests get one
     /// byte so every allocation has a unique address, like malloc(0).
-    pub fn alloc(&mut self, size: u64, tid: ThreadId, loc: SrcLoc) -> u64 {
+    pub fn alloc(&mut self, size: u64, tid: ThreadId) -> u64 {
         let size = size.max(1);
         let addr = self.next;
         let padded = (size + ALIGN - 1) & !(ALIGN - 1);
@@ -87,26 +92,22 @@ impl Heap {
         // write is bounded below the `next` of its time by `check`, and the
         // bump allocator never hands an address out twice — so no byte of a
         // fresh block can have been written.
-        let idx = self.blocks.len() as u32;
-        self.blocks.push(Block { addr, size, alloc_tid: tid, alloc_loc: loc, freed: false });
-        self.by_addr.insert(addr, idx);
+        self.blocks.push(Block { addr, size, alloc_tid: tid, freed: false });
         addr
     }
 
     /// Release a block. Returns the block record (for the `Free` event's
     /// size) or an error for bad/double frees.
     pub fn free(&mut self, addr: u64) -> Result<Block, MemError> {
-        match self.by_addr.get(&addr) {
-            None => Err(MemError::BadFree { addr }),
-            Some(&idx) => {
-                let b = &mut self.blocks[idx as usize];
-                if b.freed {
-                    return Err(MemError::DoubleFree { addr });
-                }
-                b.freed = true;
-                Ok(*b)
-            }
+        let b = match self.block_at_or_below(addr) {
+            Some(i) if self.blocks[i].addr == addr => &mut self.blocks[i],
+            _ => return Err(MemError::BadFree { addr }),
+        };
+        if b.freed {
+            return Err(MemError::DoubleFree { addr });
         }
+        b.freed = true;
+        Ok(*b)
     }
 
     #[inline]
@@ -156,8 +157,7 @@ impl Heap {
 
     /// The live or freed block containing `addr`, if any.
     pub fn block_containing(&self, addr: u64) -> Option<&Block> {
-        let (_, &idx) = self.by_addr.range(..=addr).next_back()?;
-        let b = &self.blocks[idx as usize];
+        let b = &self.blocks[self.block_at_or_below(addr)?];
         (addr < b.addr + b.size).then_some(b)
     }
 
@@ -200,14 +200,13 @@ mod tests {
         Heap::new()
     }
 
-    const L: SrcLoc = SrcLoc::UNKNOWN;
     const T: ThreadId = ThreadId(0);
 
     #[test]
     fn alloc_returns_aligned_distinct_addresses() {
         let mut heap = h();
-        let a = heap.alloc(24, T, L);
-        let b = heap.alloc(8, T, L);
+        let a = heap.alloc(24, T);
+        let b = heap.alloc(8, T);
         assert_eq!(a % ALIGN, 0);
         assert_eq!(b % ALIGN, 0);
         assert!(b >= a + 24);
@@ -216,7 +215,7 @@ mod tests {
     #[test]
     fn read_write_roundtrip_all_sizes() {
         let mut heap = h();
-        let a = heap.alloc(64, T, L);
+        let a = heap.alloc(64, T);
         for &(size, val) in &[(1u8, 0xABu64), (2, 0xBEEF), (4, 0xDEADBEEF), (8, 0x0123456789ABCDEF)]
         {
             heap.write(a, size, val).unwrap();
@@ -227,7 +226,7 @@ mod tests {
     #[test]
     fn write_truncates_to_size() {
         let mut heap = h();
-        let a = heap.alloc(16, T, L);
+        let a = heap.alloc(16, T);
         heap.write(a, 1, 0x1FF).unwrap();
         assert_eq!(heap.read(a, 1).unwrap(), 0xFF);
         // Neighbouring byte untouched.
@@ -237,14 +236,14 @@ mod tests {
     #[test]
     fn fresh_allocations_are_zeroed() {
         let mut heap = h();
-        let a = heap.alloc(32, T, L);
+        let a = heap.alloc(32, T);
         assert_eq!(heap.read(a + 24, 8).unwrap(), 0);
     }
 
     #[test]
     fn wild_access_rejected() {
         let mut heap = h();
-        let a = heap.alloc(8, T, L);
+        let a = heap.alloc(8, T);
         assert!(matches!(heap.read(a + 4096, 8), Err(MemError::Wild { .. })));
         assert!(matches!(heap.read(0x10, 8), Err(MemError::Wild { .. })));
     }
@@ -252,14 +251,14 @@ mod tests {
     #[test]
     fn bad_size_rejected() {
         let mut heap = h();
-        let a = heap.alloc(8, T, L);
+        let a = heap.alloc(8, T);
         assert!(matches!(heap.read(a, 3), Err(MemError::BadSize { .. })));
     }
 
     #[test]
     fn free_and_double_free() {
         let mut heap = h();
-        let a = heap.alloc(8, T, L);
+        let a = heap.alloc(8, T);
         let b = heap.free(a).unwrap();
         assert_eq!(b.size, 8);
         assert!(matches!(heap.free(a), Err(MemError::DoubleFree { .. })));
@@ -269,7 +268,7 @@ mod tests {
     #[test]
     fn block_containing_finds_interior_addresses() {
         let mut heap = h();
-        let a = heap.alloc(21, T, L);
+        let a = heap.alloc(21, T);
         let blk = heap.block_containing(a + 8).unwrap();
         assert_eq!(blk.addr, a);
         assert_eq!(blk.size, 21);
@@ -280,10 +279,63 @@ mod tests {
     }
 
     #[test]
+    fn block_containing_covers_first_and_last_byte_and_misses_gaps() {
+        let mut heap = h();
+        let a = heap.alloc(21, T);
+        let b = heap.alloc(40, T);
+        let c = heap.alloc(1, T);
+        for (base, size) in [(a, 21), (b, 40), (c, 1)] {
+            assert_eq!(heap.block_containing(base).unwrap().addr, base);
+            assert_eq!(heap.block_containing(base + size - 1).unwrap().addr, base);
+        }
+        // Alignment padding after each block belongs to no block, and so
+        // does everything below the first and above the last.
+        for gap in [a + 21, b - 1, b + 40, c - 1, c + 1, c + 15, GUEST_BASE - 1, 0] {
+            assert!(heap.block_containing(gap).is_none(), "{gap:#x} is in a gap");
+        }
+        // Freed blocks still answer, marked.
+        heap.free(b).unwrap();
+        let blk = heap.block_containing(b + 39).unwrap();
+        assert!(blk.freed && blk.addr == b);
+    }
+
+    #[test]
+    fn free_takes_only_block_starts_and_only_once() {
+        let mut heap = h();
+        let a = heap.alloc(24, T);
+        let b = heap.alloc(24, T);
+        let c = heap.alloc(24, T);
+        // Interior bytes, the last byte, padding and unmapped addresses
+        // are not block starts.
+        for bad in [a + 1, a + 23, a + 24, c + 31, GUEST_BASE - 16, 0, c + 4096] {
+            assert_eq!(heap.free(bad).unwrap_err(), MemError::BadFree { addr: bad });
+        }
+        assert_eq!(heap.free(b).unwrap().addr, b);
+        assert_eq!(heap.free(b).unwrap_err(), MemError::DoubleFree { addr: b });
+        // Neighbours are untouched by the free and the failed frees.
+        assert!(!heap.block_containing(a).unwrap().freed);
+        assert!(!heap.block_containing(c).unwrap().freed);
+        assert_eq!(heap.free(c).unwrap().addr, c);
+        assert_eq!(heap.free(a).unwrap().addr, a);
+        assert_eq!(heap.free(a).unwrap_err(), MemError::DoubleFree { addr: a });
+    }
+
+    #[test]
+    fn arena_grows_to_exactly_the_reserved_bytes() {
+        let mut heap = h();
+        heap.alloc(5000, T);
+        assert_eq!(heap.mem.len() as u64, heap.reserved());
+        let last = heap.alloc(3, T);
+        assert_eq!(heap.mem.len() as u64, heap.reserved());
+        heap.write(last + 2, 1, 7).unwrap();
+        assert!(heap.write(last + 16, 1, 7).is_err());
+    }
+
+    #[test]
     fn zero_size_alloc_gets_unique_address() {
         let mut heap = h();
-        let a = heap.alloc(0, T, L);
-        let b = heap.alloc(0, T, L);
+        let a = heap.alloc(0, T);
+        let b = heap.alloc(0, T);
         assert_ne!(a, b);
     }
 }

@@ -441,11 +441,8 @@ impl<'p> Vm<'p> {
     /// [`PreparedProgram`]; `Vm::new` is the reference constructor.
     pub fn new(prog: &'p FlatProgram, opts: VmOptions) -> Self {
         let mut heap = Heap::new();
-        let global_addrs = prog
-            .globals
-            .iter()
-            .map(|g| heap.alloc(g.size, ThreadId::MAIN, SrcLoc::UNKNOWN))
-            .collect();
+        let global_addrs =
+            prog.globals.iter().map(|g| heap.alloc(g.size, ThreadId::MAIN)).collect();
         let entry = prog.entry;
         let main = Thread {
             frames: vec![Frame {
@@ -750,8 +747,9 @@ impl<'p> Vm<'p> {
     /// the pc, the frame's register window, and per-class counters stay
     /// in registers and are written back once per run, instead of paying
     /// a thread/frame lookup and four counter read-modify-writes per op.
-    /// Anything else (memory, sync, calls, heap — every op that can emit
-    /// an event, block, or fault) falls through to [`Vm::exec_instr`],
+    /// A plain `Load`, `Store` or `AssignStore` ends the run with its
+    /// access event. Anything else (atomics, sync, calls, heap) falls
+    /// through to [`Vm::exec_instr`],
     /// which mirrors the reference core observable-for-observable. Silent
     /// accounting is charged after each flat op exactly like the
     /// reference slot loop, including the corner where the budget trips
@@ -989,12 +987,10 @@ impl<'p> Vm<'p> {
         )
     }
 
-    /// Execute exactly one compiled instruction of `tid`. Mirrors
+    /// Execute exactly one compiled instruction of `tid` that is not one of
+    /// the fast forms [`Vm::run_slot_compiled`] runs inline. Mirrors
     /// [`Vm::exec_op`] observable-for-observable: same event order, same
-    /// error locations, same fault-injection consult points. Fused
-    /// superinstructions additionally account the ops and silent steps
-    /// their two flat counterparts would have, including the corner where
-    /// the silent budget trips between the two halves.
+    /// error locations, same fault-injection consult points.
     fn exec_instr(
         &mut self,
         tid: ThreadId,
@@ -1010,198 +1006,15 @@ impl<'p> Vm<'p> {
         let pool = &comp.pool;
         let instr: &'p Instr = &comp.procs[proc.0 as usize].code[pc as usize];
         match instr {
-            Instr::Assign { dst, value } => {
-                self.stats.interp.arith += 1;
-                {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    let base = f.base as usize;
-                    f.pc += 1;
-                    let v = compile::eval_operand(
-                        value,
-                        &t.stack[base..],
-                        &self.global_addrs,
-                        pool,
-                        &self.slot_evals,
-                    );
-                    t.stack[base + dst.0 as usize] = v;
-                }
-                self.bump_silent(tid, silent)?;
-                Ok(Flow::Silent)
-            }
-            Instr::AssignStore { dst, value, addr, stored, size, loc } => {
-                // Assign half (silent).
-                self.stats.interp.arith += 1;
-                self.stats.interp.fused += 1;
-                {
-                    let t = &mut self.threads[ti];
-                    let base = t.frames.last().expect("running thread has a frame").base as usize;
-                    let v = compile::eval_operand(
-                        value,
-                        &t.stack[base..],
-                        &self.global_addrs,
-                        pool,
-                        &self.slot_evals,
-                    );
-                    t.stack[base + dst.0 as usize] = v;
-                }
-                self.bump_silent(tid, silent)?;
-                // Store half (emits); a fresh flat op, so a fresh ops tick.
-                self.stats.ops += 1;
-                self.stats.interp.mem += 1;
-                let (a, v) = {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    f.cur_loc = *loc;
-                    let regs = &t.stack[f.base as usize..];
-                    (
-                        compile::eval_operand(
-                            addr,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                        compile::eval_operand(
-                            stored,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                    )
-                };
-                self.heap.write(a, *size, v).map_err(|e| GuestError {
-                    tid,
-                    loc: *loc,
-                    kind: GuestErrorKind::Mem(e),
-                })?;
-                self.threads[ti].frames.last_mut().expect("running thread has a frame").pc += 1;
-                self.pending.push(Event::Access {
-                    tid,
-                    addr: a,
-                    size: *size,
-                    kind: AccessKind::Write,
-                    loc: *loc,
-                });
-                Ok(Flow::Emitted)
-            }
-            Instr::DecJump { reg, target } => {
-                // Dec half: the entry `ops += 1` covered it.
-                self.stats.interp.arith += 1;
-                self.stats.interp.fused += 1;
-                {
-                    let t = &mut self.threads[ti];
-                    let base = t.frames.last().expect("running thread has a frame").base as usize;
-                    let slot = &mut t.stack[base + reg.0 as usize];
-                    *slot = slot.wrapping_sub(1);
-                }
-                self.bump_silent(tid, silent)?;
-                // Jump half.
-                self.stats.ops += 1;
-                self.stats.interp.branch += 1;
-                self.threads[ti].frames.last_mut().expect("running thread has a frame").pc =
-                    *target;
-                self.bump_silent(tid, silent)?;
-                Ok(Flow::Silent)
-            }
-            Instr::Jump(t) => {
-                self.stats.interp.branch += 1;
-                self.threads[ti].frames.last_mut().expect("running thread has a frame").pc = *t;
-                self.bump_silent(tid, silent)?;
-                Ok(Flow::Silent)
-            }
-            Instr::Branch { cmp, target } => {
-                self.stats.interp.branch += 1;
-                {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    let taken = compile::eval_cmp(
-                        cmp,
-                        &t.stack[f.base as usize..],
-                        &self.global_addrs,
-                        pool,
-                        &self.slot_evals,
-                    );
-                    f.pc = if taken { f.pc + 1 } else { *target };
-                }
-                self.bump_silent(tid, silent)?;
-                Ok(Flow::Silent)
-            }
-            Instr::Load { dst, addr, size, loc } => {
-                self.stats.interp.mem += 1;
-                let a = {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    f.cur_loc = *loc;
-                    compile::eval_operand(
-                        addr,
-                        &t.stack[f.base as usize..],
-                        &self.global_addrs,
-                        pool,
-                        &self.slot_evals,
-                    )
-                };
-                let v = self.heap.read(a, *size).map_err(|e| GuestError {
-                    tid,
-                    loc: *loc,
-                    kind: GuestErrorKind::Mem(e),
-                })?;
-                {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    let base = f.base as usize;
-                    f.pc += 1;
-                    t.stack[base + dst.0 as usize] = v;
-                }
-                self.pending.push(Event::Access {
-                    tid,
-                    addr: a,
-                    size: *size,
-                    kind: AccessKind::Read,
-                    loc: *loc,
-                });
-                Ok(Flow::Emitted)
-            }
-            Instr::Store { addr, value, size, loc } => {
-                self.stats.interp.mem += 1;
-                let (a, v) = {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    f.cur_loc = *loc;
-                    let regs = &t.stack[f.base as usize..];
-                    (
-                        compile::eval_operand(
-                            addr,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                        compile::eval_operand(
-                            value,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                    )
-                };
-                self.heap.write(a, *size, v).map_err(|e| GuestError {
-                    tid,
-                    loc: *loc,
-                    kind: GuestErrorKind::Mem(e),
-                })?;
-                self.threads[ti].frames.last_mut().expect("running thread has a frame").pc += 1;
-                self.pending.push(Event::Access {
-                    tid,
-                    addr: a,
-                    size: *size,
-                    kind: AccessKind::Write,
-                    loc: *loc,
-                });
-                Ok(Flow::Emitted)
-            }
+            // `run_slot_compiled` executes these forms itself and falls
+            // back here only for the others.
+            Instr::Assign { .. }
+            | Instr::AssignStore { .. }
+            | Instr::DecJump { .. }
+            | Instr::Jump(_)
+            | Instr::Branch { .. }
+            | Instr::Load { .. }
+            | Instr::Store { .. } => unreachable!("fast form reached the fallback"),
             Instr::AtomicRmw { dst, addr, delta, size, loc } => {
                 self.stats.interp.mem += 1;
                 let (a, d) = {
@@ -1468,7 +1281,7 @@ impl<'p> Vm<'p> {
                     return Ok(Flow::Silent);
                 }
                 let sz = self.ceval(tid, size, comp);
-                let addr = self.heap.alloc(sz, tid, *loc);
+                let addr = self.heap.alloc(sz, tid);
                 self.stats.allocs += 1;
                 self.set_reg(tid, *dst, addr);
                 self.advance(tid);
@@ -1812,7 +1625,7 @@ impl<'p> Vm<'p> {
                     return Ok(Flow::Silent);
                 }
                 let sz = self.eval(tid, size);
-                let addr = self.heap.alloc(sz, tid, *loc);
+                let addr = self.heap.alloc(sz, tid);
                 self.stats.allocs += 1;
                 self.set_reg(tid, *dst, addr);
                 self.advance(tid);

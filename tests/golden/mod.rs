@@ -2,18 +2,21 @@
 //!
 //! One `observe` folds everything a user sees of one run into text, with
 //! the knob a suite flips as a parameter: the redundant-access filter,
-//! `hb_reference`, or the VM core. The relative suites assert that their
+//! `hb_reference`, the VM core, or record → analyze. The relative suites
+//! assert that their
 //! knob is invisible over T1–T8 × six presets, clean and under faults;
 //! `report_pin.rs` digests the same text from the production setting.
 
 #![allow(dead_code)] // each suite uses its own slice of the harness
 
+use raceline::helgrind_core::replay::analyze_trace_bytes;
 use raceline::helgrind_core::AnyDetector;
 use raceline::prelude::*;
 use raceline::sipsim::{self, ChaosRunOutcome};
 use raceline::vexec::ir::lower::FlatProgram;
 use raceline::vexec::vm::{run_flat, RunStats, VmMode};
 use raceline::vexec::FaultPlan;
+use raceline_trace::TraceWriter;
 
 /// The six detector presets.
 pub const PRESETS: [&str; 6] = ["original", "hwlc", "hwlc-dr", "djit", "hybrid", "hybrid-queue"];
@@ -28,7 +31,13 @@ pub enum Knob {
     HbReference(bool),
     /// The compiled bytecode core or the tree-walking reference core.
     Vm(VmMode),
+    /// Record the run to an `.rltrace` (small epochs, so every case spans
+    /// several) and analyze the bytes, or run the detector live.
+    Replay(bool),
 }
+
+/// Events per epoch of a [`Knob::Replay`] recording.
+const REPLAY_EPOCH_EVENTS: u64 = 512;
 
 /// The aggressive plan of every faulted sweep.
 pub fn fault_plan() -> FaultPlan {
@@ -54,35 +63,45 @@ pub fn observe(
 ) -> (String, RunStats) {
     let mut cfg = DetectorConfig::by_name(name).unwrap();
     let mut opts = opts.clone();
-    let mut filtered = true;
+    let (mut filtered, mut replay) = (true, false);
     match knob {
         Knob::Filter(on) => filtered = on,
         Knob::HbReference(on) => cfg.hb_reference = on,
         Knob::Vm(mode) => opts.mode = mode,
+        Knob::Replay(on) => replay = on,
     }
     let mut det = AnyDetector::by_name(name, cfg, SuppressionSet::new());
     let mut sched: Box<dyn Scheduler> = match seed {
         Some(s) => Box::new(SeededRandom::new(s)),
         None => Box::new(RoundRobin::new()),
     };
-    let r = if filtered {
-        let mut tool = FilterTool::new(det);
+    let (r, truncated, reports) = if replay {
+        // `record` puts the filter in front of the writer, as `check` puts
+        // it in front of the detector.
+        let mut bytes = Vec::new();
+        let writer = TraceWriter::new(&mut bytes).with_epoch_events(REPLAY_EPOCH_EVENTS);
+        let mut tool = FilterTool::new(writer);
         let r = run_flat(flat, &mut tool, sched.as_mut(), opts);
-        det = tool.into_parts().0;
-        r
+        let writer = tool.into_parts().0;
+        writer.finish(&r.termination, &r.stats, r.faults.as_ref()).expect("trace written");
+        let outcome = analyze_trace_bytes(&bytes, det, 1, 0).expect("recorded trace analyzes");
+        (r, outcome.truncated, outcome.reports)
     } else {
-        run_flat(flat, &mut det, sched.as_mut(), opts)
+        let r = if filtered {
+            let mut tool = FilterTool::new(det);
+            let r = run_flat(flat, &mut tool, sched.as_mut(), opts);
+            det = tool.into_parts().0;
+            r
+        } else {
+            run_flat(flat, &mut det, sched.as_mut(), opts)
+        };
+        (r, det.truncated(), det.take_reports())
     };
     let mut out = format!(
         "{name}\ntermination: {:?}\ntruncated: {}\nslots: {} events: {} ops: {} faults: {:?}\n",
-        r.termination,
-        det.truncated(),
-        r.stats.slots,
-        r.stats.events,
-        r.stats.ops,
-        r.faults,
+        r.termination, truncated, r.stats.slots, r.stats.events, r.stats.ops, r.faults,
     );
-    for rep in det.take_reports() {
+    for rep in reports {
         out.push_str(&rep.render());
         out.push('\n');
     }

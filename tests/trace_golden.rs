@@ -6,62 +6,19 @@
 //! trace anywhere yields a structured error, never a panic or a wrong
 //! answer.
 
+mod golden;
+
+use golden::{assert_knob_invisible, Knob};
 use helgrind_core::replay::{analyze_trace_bytes, analyze_trace_repair, ReplayDetector};
-use helgrind_core::{
-    DetectorConfig, DjitDetector, EraserDetector, HybridDetector, Report, SuppressionSet,
-};
+use helgrind_core::{DetectorConfig, Report, SuppressionSet};
 use raceline_trace::reader::{parse_trace, parse_trace_repair};
 use raceline_trace::writer::TraceWriter;
 use vexec::sched::RoundRobin;
-use vexec::vm::{run_flat, Termination, VmOptions};
-
-const ENGINES: &[&str] = &["original", "hwlc", "hwlc-dr", "djit", "hybrid", "hybrid-queue"];
-
-fn config_of(name: &str) -> DetectorConfig {
-    match name {
-        "original" => DetectorConfig::original(),
-        "hwlc" => DetectorConfig::hwlc(),
-        "hwlc-dr" => DetectorConfig::hwlc_dr(),
-        "djit" => DetectorConfig::djit(),
-        "hybrid" => DetectorConfig::hybrid(),
-        "hybrid-queue" => DetectorConfig::hybrid_queue_hb(),
-        other => panic!("unknown engine {other}"),
-    }
-}
-
-/// Inline run: the reference the offline path must match byte for byte.
-fn run_inline(
-    flat: &vexec::ir::lower::FlatProgram,
-    engine: &str,
-) -> (Vec<String>, bool, Termination) {
-    let cfg = config_of(engine);
-    let (reports, truncated, termination): (Vec<Report>, bool, Termination) = match engine {
-        "djit" => {
-            let mut det = DjitDetector::new(cfg);
-            let r = run_flat(flat, &mut det, &mut RoundRobin::new(), VmOptions::default());
-            (det.sink.take_reports(), det.truncated(), r.termination)
-        }
-        "hybrid" | "hybrid-queue" => {
-            let mut det = HybridDetector::new(cfg);
-            let r = run_flat(flat, &mut det, &mut RoundRobin::new(), VmOptions::default());
-            (det.sink.take_reports(), det.truncated(), r.termination)
-        }
-        _ => {
-            let mut det = EraserDetector::with_suppressions(cfg, SuppressionSet::new());
-            let r = run_flat(flat, &mut det, &mut RoundRobin::new(), VmOptions::default());
-            (det.sink.take_reports(), det.truncated(), r.termination)
-        }
-    };
-    (reports.iter().map(Report::render).collect(), truncated, termination)
-}
+use vexec::vm::{run_flat, VmOptions};
 
 fn replay_detector(engine: &str) -> ReplayDetector {
-    let cfg = config_of(engine);
-    match engine {
-        "djit" => ReplayDetector::Djit(DjitDetector::new(cfg)),
-        "hybrid" | "hybrid-queue" => ReplayDetector::Hybrid(HybridDetector::new(cfg)),
-        _ => ReplayDetector::Eraser(EraserDetector::with_suppressions(cfg, SuppressionSet::new())),
-    }
+    let cfg = DetectorConfig::by_name(engine).expect("preset");
+    ReplayDetector::by_name(engine, cfg, SuppressionSet::new())
 }
 
 fn analyze(bytes: &[u8], engine: &str, jobs: usize) -> (Vec<String>, bool) {
@@ -70,24 +27,18 @@ fn analyze(bytes: &[u8], engine: &str, jobs: usize) -> (Vec<String>, bool) {
     (outcome.reports.iter().map(Report::render).collect(), outcome.truncated)
 }
 
+/// T1–T8 × 6 engines: record → analyze reproduces the live run byte for
+/// byte — same renders, same order, same truncation flag.
 #[test]
-fn record_analyze_matches_inline_for_all_cases_and_engines() {
-    for tc in sipsim::testcases() {
-        let flat = tc.build().program.lower();
-        // Small epochs so even the small cases exercise multi-epoch decode
-        // and the codec reset at every boundary.
-        let bytes = record_bytes(&flat, 512);
-        for engine in ENGINES {
-            let (inline_reports, inline_trunc, _) = run_inline(&flat, engine);
-            let (replayed, replay_trunc) = analyze(&bytes, engine, 1);
-            assert_eq!(
-                replayed, inline_reports,
-                "case {} engine {engine}: offline reports differ from inline",
-                tc.name
-            );
-            assert_eq!(replay_trunc, inline_trunc, "case {} engine {engine}", tc.name);
-        }
-    }
+fn t1_t8_recorded_and_live_are_byte_identical() {
+    assert_knob_invisible(Knob::Replay(true), Knob::Replay(false), false);
+}
+
+/// The same under fault injection and a randomized schedule: killed
+/// threads, failed allocations, deadlocks and guest errors included.
+#[test]
+fn t1_t8_recorded_and_live_are_byte_identical_under_faults() {
+    assert_knob_invisible(Knob::Replay(true), Knob::Replay(false), true);
 }
 
 #[test]
