@@ -13,9 +13,10 @@
 //!
 //! Each detector exposes its event handling twice: `handle_event` takes
 //! any [`ReportCtx`] — the live VM inline, or a trace-replay context
-//! offline — and the [`Tool`] impl simply delegates with the [`VmView`].
-//! One code path means offline analysis reproduces inline reports
-//! byte-for-byte.
+//! offline — and the [`Tool`] impl delegates with the [`VmView`]. The
+//! hybrid detector's `Tool` impl instead queues `.rltrace` records for an
+//! analysis worker that runs the replay fold. One code path means offline
+//! and off-thread analysis reproduce inline reports byte-for-byte.
 
 use crate::config::DetectorConfig;
 use crate::eraser::{LocksetEngine, RaceInfo};
@@ -301,7 +302,6 @@ pub struct HybridDetector {
     /// Rendered guest fault, if the run ended with one.
     pub guest_fault: Option<String>,
     live: Option<LiveRun>,
-    fold_inline: bool,
 }
 
 /// The two engines hybrid detection runs over every event.
@@ -348,15 +348,7 @@ impl HybridDetector {
             sink,
             guest_fault: None,
             live: None,
-            fold_inline: false,
         }
-    }
-
-    /// Fold live runs on the VM thread, one chunk at a time, as a host
-    /// with a single CPU does. Reports are the same either way.
-    pub fn fold_inline(mut self) -> Self {
-        self.fold_inline = true;
-        self
     }
 
     fn engines(&self) -> &HybridEngines {
@@ -416,9 +408,8 @@ impl Tool for HybridDetector {
                 engines: self.engines.take().expect("one live run at a time"),
                 sink: std::mem::take(&mut self.sink),
                 guest_fault: self.guest_fault.take(),
-                ctx: ReplayCtx::from_view(vm),
             };
-            self.live = Some(LiveRun::start(Box::new(fold), self.fold_inline));
+            self.live = Some(LiveRun::start(Box::new(fold), ReplayCtx::from_view(vm)));
         }
         self.live.as_mut().expect("started above").push(ev, vm);
     }

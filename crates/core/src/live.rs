@@ -13,8 +13,8 @@
 //! The fold runs on a persistent analysis thread, one per calling thread,
 //! reused by every run that thread starts. Chunks travel over a bounded
 //! channel and come back emptied, so a run allocates no buffers once the
-//! pool is warm. When the host has one CPU (or the detector asks for it),
-//! the same fold runs on the VM thread, once per chunk.
+//! pool is warm. When the host has one CPU, the same fold runs on the VM
+//! thread, once per chunk.
 
 use std::cell::RefCell;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
@@ -35,30 +35,31 @@ const CHUNK: usize = 1024;
 /// Chunks queued for the worker before the VM thread waits.
 const QUEUE: usize = 4;
 
-/// Everything the analysis of one live run owns: the engines and the
-/// sink lent by the detector, and the context the records rebuild.
+/// What the detector lends a live run: the engines, the sink and the
+/// guest-fault slot.
 pub(crate) struct Fold {
     pub(crate) engines: Box<HybridEngines>,
     pub(crate) sink: ReportSink,
     pub(crate) guest_fault: Option<String>,
-    pub(crate) ctx: ReplayCtx,
 }
 
 impl Fold {
-    fn fold(&mut self, recs: &[TraceRecord]) {
+    /// Apply `recs` to `ctx` in order, running both engines on each event.
+    fn fold(&mut self, ctx: &mut ReplayCtx, recs: &[TraceRecord]) {
         for rec in recs {
-            self.ctx.apply(rec);
+            ctx.apply(rec);
             if let TraceRecord::Event(ev) = rec {
                 #[cfg(test)]
-                tests::panic_on_marker(ev, &self.ctx);
-                self.engines.handle_event(&mut self.sink, ev, &self.ctx);
+                tests::panic_on_marker(ev, ctx);
+                self.engines.handle_event(&mut self.sink, ev, ctx);
             }
         }
     }
 }
 
 enum Job {
-    Start(Box<Fold>),
+    /// A run's fold and the context it starts from.
+    Start(Box<Fold>, ReplayCtx),
     Chunk(Vec<TraceRecord>),
     Fault(String),
     Finish,
@@ -71,10 +72,11 @@ enum Reply {
 }
 
 /// A persistent analysis thread and the chunk buffers it has handed back.
+/// Dropping it closes the job channel and joins the thread.
 struct Worker {
     jobs: SyncSender<Job>,
     replies: Receiver<Reply>,
-    thread: JoinHandle<()>,
+    thread: Option<JoinHandle<()>>,
     spare: Vec<Vec<TraceRecord>>,
     /// The thread is gone (its channel closed): a panic in the fold.
     dead: bool,
@@ -85,8 +87,13 @@ thread_local! {
     static IDLE: RefCell<Option<Worker>> = const { RefCell::new(None) };
 }
 
-fn multi_cpu() -> bool {
+/// Whether runs fold on a worker: only when the host has a second CPU.
+fn use_worker() -> bool {
     static MULTI: OnceLock<bool> = OnceLock::new();
+    #[cfg(test)]
+    if tests::FOLD_INLINE.get() {
+        return false;
+    }
     *MULTI.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
 }
 
@@ -103,7 +110,7 @@ impl Worker {
             .name("hybrid-fold".to_string())
             .spawn(move || serve(job_rx, reply_tx))
             .ok()?;
-        Some(Worker { jobs, replies, thread, spare: Vec::new(), dead: false })
+        Some(Worker { jobs, replies, thread: Some(thread), spare: Vec::new(), dead: false })
     }
 
     /// Park the worker for the calling thread's next run (a thread that
@@ -147,13 +154,27 @@ impl Worker {
                 }
             }
         }
-        // The reply channel closed: the thread is gone. Closing the job
-        // channel too makes sure `join` cannot wait on a live loop.
-        drop(self.jobs);
-        match self.thread.join() {
+        // The reply channel closed: the thread is gone.
+        match self.join() {
             Err(payload) => std::panic::resume_unwind(payload),
             Ok(()) => panic!("hybrid analysis worker exited mid-run"),
         }
+    }
+
+    /// Close the job channel and wait for the thread, which folds what
+    /// is queued (a few chunks at most) and exits.
+    fn join(&mut self) -> std::thread::Result<()> {
+        let (closed, _) = mpsc::sync_channel(0);
+        drop(std::mem::replace(&mut self.jobs, closed));
+        self.thread.take().map_or(Ok(()), JoinHandle::join)
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        // A panic in the fold has been printed by the panic hook; with no
+        // run waiting for it there is nothing to resume it into.
+        let _ = self.join();
     }
 }
 
@@ -162,11 +183,16 @@ impl Worker {
 /// the VM thread sees the channels close and resumes the panic.
 fn serve(jobs: Receiver<Job>, replies: Sender<Reply>) {
     let mut fold: Option<Box<Fold>> = None;
+    // Kept across runs, so its block table stops growing once warm.
+    let mut ctx = ReplayCtx::default();
     while let Ok(job) = jobs.recv() {
         match job {
-            Job::Start(f) => fold = Some(f),
+            Job::Start(f, start) => {
+                ctx.restart(start);
+                fold = Some(f);
+            }
             Job::Chunk(mut recs) => {
-                fold.as_mut().expect("chunk outside a run").fold(&recs);
+                fold.as_mut().expect("chunk outside a run").fold(&mut ctx, &recs);
                 recs.clear();
                 let _ = replies.send(Reply::Spent(recs));
             }
@@ -183,7 +209,7 @@ fn serve(jobs: Receiver<Job>, replies: Sender<Reply>) {
 
 enum Target {
     /// Fold on the VM thread, once per chunk.
-    Inline(Box<Fold>),
+    Inline(Box<Fold>, ReplayCtx),
     Worker(Worker),
 }
 
@@ -195,17 +221,17 @@ pub(crate) struct LiveRun {
 }
 
 impl LiveRun {
-    /// Start a run: on the calling thread's worker, or inline when asked,
-    /// when the host has one CPU, or when no thread can be started.
-    pub(crate) fn start(fold: Box<Fold>, inline: bool) -> LiveRun {
-        let worker = if inline || !multi_cpu() { None } else { Worker::acquire() };
+    /// Start a run on the calling thread's worker; inline when the host
+    /// has one CPU or no thread can be started.
+    pub(crate) fn start(fold: Box<Fold>, ctx: ReplayCtx) -> LiveRun {
+        let worker = if use_worker() { Worker::acquire() } else { None };
         let (target, chunk) = match worker {
             Some(mut w) => {
-                w.send(Job::Start(fold));
+                w.send(Job::Start(fold, ctx));
                 let chunk = w.chunk();
                 (Target::Worker(w), chunk)
             }
-            None => (Target::Inline(fold), Vec::with_capacity(CHUNK)),
+            None => (Target::Inline(fold, ctx), Vec::with_capacity(CHUNK)),
         };
         LiveRun { mirror: StackMirror::new(), chunk, target }
     }
@@ -220,11 +246,14 @@ impl LiveRun {
         }
     }
 
-    /// Hand the current chunk to the fold.
+    /// Hand the current chunk, if any, to the fold.
     fn ship(&mut self) {
+        if self.chunk.is_empty() {
+            return;
+        }
         match &mut self.target {
-            Target::Inline(fold) => {
-                fold.fold(&self.chunk);
+            Target::Inline(fold, ctx) => {
+                fold.fold(ctx, &self.chunk);
                 self.chunk.clear();
             }
             Target::Worker(w) => {
@@ -238,7 +267,7 @@ impl LiveRun {
     pub(crate) fn fault(&mut self, err: String) {
         self.ship();
         match &mut self.target {
-            Target::Inline(fold) => fold.guest_fault = Some(err),
+            Target::Inline(fold, _) => fold.guest_fault = Some(err),
             Target::Worker(w) => w.send(Job::Fault(err)),
         }
     }
@@ -246,11 +275,9 @@ impl LiveRun {
     /// Fold what is left and hand the analysis back; a panic in the
     /// worker resumes here, on the VM thread.
     pub(crate) fn finish(mut self) -> Box<Fold> {
-        if !self.chunk.is_empty() {
-            self.ship();
-        }
+        self.ship();
         match self.target {
-            Target::Inline(fold) => fold,
+            Target::Inline(fold, _) => fold,
             Target::Worker(w) => w.finish(self.chunk),
         }
     }
@@ -262,16 +289,24 @@ mod tests {
     use crate::config::DetectorConfig;
     use crate::detector::HybridDetector;
     use crate::report::ReportCtx;
+    use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use vexec::event::ClientEv;
+    use vexec::faults::FaultPlan;
     use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
-    use vexec::ir::{ClientOp, Program};
-    use vexec::sched::RoundRobin;
-    use vexec::vm::run_program;
+    use vexec::ir::lower::FlatProgram;
+    use vexec::ir::{ClientOp, Expr};
+    use vexec::sched::SeededRandom;
+    use vexec::vm::{run_flat, VmOptions};
 
     /// A client label with this text makes the fold panic: the way the
     /// tests below put a panic on the analysis thread.
     pub(super) const PANIC_LABEL: &str = "panic-in-fold";
+
+    thread_local! {
+        /// Fold this thread's runs inline, as a one-CPU host does.
+        pub(super) static FOLD_INLINE: Cell<bool> = const { Cell::new(false) };
+    }
 
     pub(super) fn panic_on_marker(ev: &Event, ctx: &ReplayCtx) {
         if let Event::Client { req: ClientEv::Label(sym), .. } = ev {
@@ -281,55 +316,97 @@ mod tests {
         }
     }
 
-    /// Two threads race on a global for `spin` rounds (several chunks),
-    /// then, with `marker`, main drops the panic label.
-    fn program(spin: u64, marker: bool) -> Program {
+    /// Two threads bump a locked counter and race on a global for `spin`
+    /// rounds (several chunks); with `marker`, main then drops the panic
+    /// label.
+    fn program(spin: u64, marker: bool) -> FlatProgram {
         let mut pb = ProgramBuilder::new();
         let g = pb.global("g", 8);
+        let counter = pb.global("counter", 8);
+        let mutex = pb.global("mutex", 8);
         let label = pb.intern(PANIC_LABEL);
         let loc = pb.loc("t.cpp", 3, "bump");
         let mut w = ProcBuilder::new(0);
         w.at(loc);
+        let m = w.load_new(mutex, 8);
         w.begin_repeat(spin);
+        w.lock(Expr::Reg(m));
+        let c = w.load_new(counter, 8);
+        w.store(counter, Expr::Reg(c), 8);
+        w.unlock(Expr::Reg(m));
         w.store(g, 1u64, 8);
         w.end_repeat();
         let worker = pb.add_proc("bump", w);
-        let mut m = ProcBuilder::new(0);
-        let h = m.spawn(worker, vec![]);
-        m.begin_repeat(spin);
-        m.store(g, 2u64, 8);
-        m.end_repeat();
+        let mut main = ProcBuilder::new(0);
+        let mx = main.new_mutex();
+        main.store(mutex, Expr::Reg(mx), 8);
+        let a = main.spawn(worker, vec![]);
+        let b = main.spawn(worker, vec![]);
         if marker {
-            m.client(ClientOp::Label(label));
+            main.client(ClientOp::Label(label));
         }
-        m.join(h);
-        let main = pb.add_proc("main", m);
-        pb.set_entry(main);
-        pb.finish()
+        main.join(a);
+        main.join(b);
+        let id = pb.add_proc("main", main);
+        pb.set_entry(id);
+        pb.finish().lower()
     }
 
-    /// Rendered reports of one run.
-    fn run(prog: &Program, inline: bool) -> Vec<String> {
-        let mut det = HybridDetector::new(DetectorConfig::hybrid());
-        if inline {
-            det = det.fold_inline();
+    /// Everything a caller reads of one run's detector.
+    fn run(flat: &FlatProgram, cfg: DetectorConfig, opts: &VmOptions, inline: bool) -> String {
+        FOLD_INLINE.set(inline);
+        let mut det = HybridDetector::new(cfg);
+        let r = run_flat(flat, &mut det, &mut SeededRandom::new(9), opts.clone());
+        FOLD_INLINE.set(false);
+        let mut out = format!(
+            "{:?}\n{:?}\ntruncated {} fault {:?}\n{:?}\n",
+            r.termination,
+            r.faults,
+            det.truncated(),
+            det.guest_fault,
+            det.engine_stats()
+        );
+        for rep in det.sink.take_reports() {
+            out.push_str(&rep.render());
         }
-        run_program(prog, &mut det, &mut RoundRobin::new());
-        det.sink.take_reports().iter().map(|r| r.render()).collect()
+        out
+    }
+
+    #[test]
+    fn inline_and_threaded_folds_agree() {
+        let flat = program(1500, false);
+        let plans = [
+            None,
+            Some(FaultPlan { seed: 3, kill_permille: 2, max_kills: 1, ..FaultPlan::disabled() }),
+            Some(FaultPlan { seed: 5, lockfail_permille: 50, ..FaultPlan::disabled() }),
+        ];
+        let mut ends = String::new();
+        for cfg in [DetectorConfig::hybrid(), DetectorConfig::hybrid_queue_hb()] {
+            for faults in plans {
+                let opts = VmOptions { faults, ..VmOptions::default() };
+                let threaded = run(&flat, cfg, &opts, false);
+                assert_eq!(run(&flat, cfg, &opts, true), threaded, "{faults:?}");
+                assert!(threaded.contains("Possible"), "{threaded}");
+                ends.push_str(&threaded);
+            }
+        }
+        assert!(ends.contains("kills: 1"), "a plan must kill a thread: {ends}");
     }
 
     #[test]
     fn a_panic_in_the_fold_reaches_the_caller_and_the_next_run_recovers() {
-        let clean = program(3000, false);
-        let reference = run(&clean, true);
-        assert!(!reference.is_empty());
-        let poisoned = program(3000, true);
+        let cfg = DetectorConfig::hybrid();
+        let opts = VmOptions::default();
+        let clean = program(1500, false);
+        let reference = run(&clean, cfg, &opts, true);
+        let poisoned = program(1500, true);
         for inline in [false, true] {
-            let caught = catch_unwind(AssertUnwindSafe(|| run(&poisoned, inline)));
+            let caught = catch_unwind(AssertUnwindSafe(|| run(&poisoned, cfg, &opts, inline)));
+            FOLD_INLINE.set(false);
             let payload = caught.expect_err("the fold's panic resumes on the VM thread");
             assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some(PANIC_LABEL));
             // The thread's next hybrid run gets a working fold again.
-            assert_eq!(run(&clean, inline), reference, "inline {inline}");
+            assert_eq!(run(&clean, cfg, &opts, inline), reference, "inline {inline}");
         }
     }
 }

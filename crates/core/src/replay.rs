@@ -4,10 +4,12 @@
 //! The writer serialises three things the detectors need beyond the raw
 //! events: the symbol table (header), per-thread backtraces (stack delta
 //! records + the top-frame-overwrite rule), and heap blocks (header
-//! snapshot + Alloc/Free events). [`ReplayCtx`] reconstructs all three and
-//! implements [`ReportCtx`], so `EraserDetector::handle_event` runs the
-//! same code inline and offline; byte-identical reports follow by
-//! construction.
+//! snapshot + Alloc/Free events). [`ReplayCtx`] reconstructs all three
+//! ([`ReplayCtx::apply`], one record at a time) and implements
+//! [`ReportCtx`], so `EraserDetector::handle_event` runs the same code
+//! inline and offline; byte-identical reports follow by construction.
+//! The live hybrid detector folds its own record stream through the same
+//! step on an analysis worker.
 //!
 //! Sharding: epoch payloads are codec-independent, so decoding fans out
 //! over the [`crate::par`] worker pool. Detector dispatch is a *sequential
@@ -62,6 +64,7 @@ type BlockRec = (u64, u32, bool);
 /// Reconstructed report context: symbol table, per-thread backtraces,
 /// heap blocks. The offline twin of the live `VmView`, and what the live
 /// hybrid analysis folds its record stream through.
+#[derive(Default)]
 pub struct ReplayCtx {
     symbols: Vec<String>,
     stacks: Vec<Vec<Frame>>,
@@ -93,6 +96,17 @@ impl ReplayCtx {
             (0..interner.len()).map(|i| interner.resolve(Symbol(i as u32)).to_string()).collect();
         let blocks = vm.heap_blocks().iter().map(|b| (b.addr, (b.size, b.alloc_tid.0, b.freed)));
         ReplayCtx::new(symbols, blocks)
+    }
+
+    /// Become `start`, keeping this context's allocations: a persistent
+    /// live fold reuses one block table run after run instead of growing a
+    /// new one each time.
+    pub(crate) fn restart(&mut self, start: ReplayCtx) {
+        self.symbols = start.symbols;
+        self.stacks.iter_mut().for_each(Vec::clear);
+        self.blocks.clear();
+        self.blocks.extend_from_slice(&start.blocks);
+        self.strays = start.strays;
     }
 
     fn stack_mut(&mut self, tid: ThreadId) -> &mut Vec<Frame> {

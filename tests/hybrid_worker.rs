@@ -1,11 +1,13 @@
 //! The live hybrid detector folds its events off the VM thread: on an
-//! analysis worker, or inline once per chunk on a one-CPU host. Whatever
-//! path a run takes, the detector it leaves behind must read exactly like
-//! the VM-thread fold over the live `VmView`: the same reports, the same
+//! analysis worker, or inline once per chunk on a one-CPU host. Either
+//! way, the detector it leaves behind must read exactly like the
+//! VM-thread fold over the live `VmView`: the same reports, the same
 //! guest fault, the same truncation flags and engine counters. These
-//! tests compare the three paths for `hybrid` and `hybrid-queue` on
-//! T1–T8, under fault plans, on guest faults and under budgets, and pin
-//! the worker's lifecycle (reuse across runs, a detector dropped mid-run).
+//! tests compare the two for `hybrid` and `hybrid-queue` on T1–T8, under
+//! fault plans, on guest faults and under budgets, and pin the worker's
+//! lifecycle (reuse across runs, a detector dropped mid-run). The unit
+//! tests of the `live` module compare the inline fold with the threaded
+//! one and put a panic on the worker.
 
 mod golden;
 
@@ -25,8 +27,6 @@ enum Path {
     View,
     /// The detector's own `Tool` impl: the worker on a multi-CPU host.
     Live,
-    /// The detector's own `Tool` impl, folding on the VM thread.
-    Inline,
 }
 
 /// The fold every event would get without the worker.
@@ -93,8 +93,7 @@ fn observe(
                 out.push_str(&format!("{:?}\n{:?}\n{}", r.termination, r.faults, describe(det)));
             }
         }
-        Path::Live | Path::Inline => {
-            let det = if matches!(path, Path::Inline) { det.fold_inline() } else { det };
+        Path::Live => {
             let mut tool = FilterTool::new(det);
             for _ in 0..runs {
                 let r = run_flat(flat, &mut tool, sched().as_mut(), opts.clone());
@@ -114,14 +113,12 @@ fn assert_paths_agree(
     seed: Option<u64>,
 ) -> String {
     let view = observe(cfg, flat, opts, seed, 1, Path::View);
-    for path in [Path::Live, Path::Inline] {
-        assert_eq!(observe(cfg, flat, opts, seed, 1, path), view, "{what}: {path:?} diverged");
-    }
+    assert_eq!(observe(cfg, flat, opts, seed, 1, Path::Live), view, "{what}: diverged");
     view
 }
 
 #[test]
-fn t1_t8_worker_and_inline_folds_match_the_view_fold() {
+fn t1_t8_live_folds_match_the_view_fold() {
     for case in sipsim::testcases() {
         let flat = case.build().program.lower();
         for name in ENGINES {
@@ -218,9 +215,7 @@ fn one_detector_folds_several_runs() {
         let cfg = DetectorConfig::by_name(name).unwrap();
         let opts = VmOptions::default();
         let view = observe(cfg, &flat, &opts, Some(5), 3, Path::View);
-        for path in [Path::Live, Path::Inline] {
-            assert_eq!(observe(cfg, &flat, &opts, Some(5), 3, path), view, "{name} {path:?}");
-        }
+        assert_eq!(observe(cfg, &flat, &opts, Some(5), 3, Path::Live), view, "{name}");
     }
 }
 
