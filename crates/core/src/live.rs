@@ -101,7 +101,7 @@ impl Worker {
     /// The calling thread's idle worker, or a new one; `None` if no
     /// thread can be started.
     fn acquire() -> Option<Worker> {
-        if let Some(w) = IDLE.with(|idle| idle.borrow_mut().take()) {
+        if let Some(w) = IDLE.try_with(|idle| idle.borrow_mut().take()).ok().flatten() {
             return Some(w);
         }
         let (jobs, job_rx) = mpsc::sync_channel(QUEUE);
@@ -114,9 +114,9 @@ impl Worker {
     }
 
     /// Park the worker for the calling thread's next run (a thread that
-    /// already has an idle one lets this one exit).
+    /// already has an idle one, or is exiting, lets this one go).
     fn release(self) {
-        IDLE.with(|idle| {
+        let _ = IDLE.try_with(|idle| {
             let mut idle = idle.borrow_mut();
             if idle.is_none() {
                 *idle = Some(self);
@@ -395,18 +395,20 @@ mod tests {
 
     #[test]
     fn a_panic_in_the_fold_reaches_the_caller_and_the_next_run_recovers() {
-        let cfg = DetectorConfig::hybrid();
         let opts = VmOptions::default();
         let clean = program(1500, false);
-        let reference = run(&clean, cfg, &opts, true);
         let poisoned = program(1500, true);
-        for inline in [false, true] {
-            let caught = catch_unwind(AssertUnwindSafe(|| run(&poisoned, cfg, &opts, inline)));
-            FOLD_INLINE.set(false);
-            let payload = caught.expect_err("the fold's panic resumes on the VM thread");
-            assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some(PANIC_LABEL));
-            // The thread's next hybrid run gets a working fold again.
-            assert_eq!(run(&clean, cfg, &opts, inline), reference, "inline {inline}");
+        for cfg in [DetectorConfig::hybrid(), DetectorConfig::hybrid_queue_hb()] {
+            let reference = run(&clean, cfg, &opts, true);
+            for inline in [false, true] {
+                let caught = catch_unwind(AssertUnwindSafe(|| run(&poisoned, cfg, &opts, inline)));
+                FOLD_INLINE.set(false);
+                let payload = caught.expect_err("the fold's panic resumes on the VM thread");
+                let text = payload.downcast_ref::<String>().map(String::as_str);
+                assert_eq!(text, Some(PANIC_LABEL));
+                // The thread's next hybrid run gets a working fold again.
+                assert_eq!(run(&clean, cfg, &opts, inline), reference, "inline {inline}");
+            }
         }
     }
 }

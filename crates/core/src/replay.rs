@@ -341,3 +341,51 @@ fn analyze_parsed(
 pub fn warning_fingerprint(r: &Report) -> String {
     format!("{}|{}|{}|{}", r.kind.code(), r.file, r.line, r.func)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vexec::ir::SrcLoc;
+
+    /// The block table against a `BTreeMap` model of the same rules (an
+    /// Alloc overwrites, a Free marks or inserts freed), on streams that
+    /// mix rising addresses with the out-of-order ones only hand-made
+    /// traces carry.
+    #[test]
+    fn block_table_matches_an_ordered_map_on_any_address_order() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for _ in 0..200 {
+            let initial: Vec<(u64, BlockRec)> =
+                (0..next(4)).map(|_| (next(64) * 16, (1 + next(40), 0, next(2) == 0))).collect();
+            let mut model: BTreeMap<u64, BlockRec> = initial.iter().copied().collect();
+            let mut ctx = ReplayCtx::new(Vec::new(), initial);
+            let mut top = 0;
+            for _ in 0..next(40) {
+                // Mostly rising addresses, as the bump allocator makes them.
+                let addr = if next(4) == 0 { next(64) * 16 } else { top + 16 * (1 + next(3)) };
+                top = top.max(addr);
+                let (tid, size, loc) = (ThreadId(next(3) as u32), 1 + next(40), SrcLoc::UNKNOWN);
+                let ev = if next(3) == 0 {
+                    model.entry(addr).and_modify(|b| b.2 = true).or_insert((size, tid.0, true));
+                    Event::Free { tid, addr, size, loc }
+                } else {
+                    model.insert(addr, (size, tid.0, false));
+                    Event::Alloc { tid, addr, size, loc }
+                };
+                ctx.apply(&TraceRecord::Event(ev));
+            }
+            for addr in 0..top + 64 {
+                let want = model.range(..=addr).next_back().and_then(|(&base, &(size, t, f))| {
+                    (addr < base + size).then(|| format_block_note(addr, base, size, t, f))
+                });
+                assert_eq!(ctx.block_note(addr), want, "address {addr:#x}");
+            }
+        }
+    }
+}

@@ -129,9 +129,9 @@ fn t1_t8_live_folds_match_the_view_fold() {
     }
 }
 
-/// Under the golden sweep's fault plan the runs end in every way a run
-/// can: killed threads, deadlocks and guest faults. Each must leave the
-/// same detector behind on every path.
+/// Under the golden sweep's fault plan runs lose threads and deadlock;
+/// each must leave the same detector behind on both paths. (The guest
+/// fault test below covers the remaining way a run ends.)
 #[test]
 fn t1_t8_paths_agree_under_faults_kills_and_deadlocks() {
     let opts = VmOptions { faults: Some(fault_plan()), ..VmOptions::default() };
@@ -207,7 +207,7 @@ fn budget_truncation_flags_come_back_from_the_worker() {
 }
 
 /// One detector over several runs keeps its engines between them, on
-/// every path.
+/// both paths.
 #[test]
 fn one_detector_folds_several_runs() {
     let flat = sipsim::testcases()[2].build().program.lower();
