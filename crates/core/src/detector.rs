@@ -23,7 +23,6 @@ use crate::eraser::{LocksetEngine, RaceInfo};
 use crate::hb::{EpochStats, HbEngine, HbRaceInfo};
 use crate::live::{Fold, LiveRun};
 use crate::lockorder::{CycleInfo, LockOrderGraph};
-use crate::replay::ReplayCtx;
 use crate::report::{resolve_context, Report, ReportCtx, ReportKind, ReportSink};
 use crate::suppress::SuppressionSet;
 use vexec::event::{AccessKind, Event, ThreadId};
@@ -288,20 +287,32 @@ impl Tool for DjitDetector {
 /// paper's §5 proposal and eliminating the Fig 11 thread-pool false
 /// positives.
 ///
-/// As a live [`Tool`] it runs both engines off the VM thread: each event
-/// becomes `.rltrace` records that a worker folds through the same
-/// [`crate::ReplayCtx`] and [`HybridDetector::handle_event`] step that
-/// `analyze` uses (the `live` module). `on_finish` waits for the fold
-/// and puts the engines back, so everything read after a run — `sink`,
-/// [`HybridDetector::engine_stats`], [`HybridDetector::truncated`] — is
-/// what the inline fold would have left.
+/// As a live [`Tool`] on a host with a second CPU it runs both engines
+/// off the VM thread: each event becomes `.rltrace` records that a worker
+/// folds through the same [`crate::ReplayCtx`] and `handle_event` step
+/// that `analyze` uses (the `live` module). `on_finish` waits for the
+/// fold and puts the engines back, so everything read after a run —
+/// `sink`, [`HybridDetector::engine_stats`],
+/// [`HybridDetector::truncated`] — is what the VM-thread fold leaves. On
+/// one CPU the detector folds on the VM thread itself.
 pub struct HybridDetector {
     /// Both engines; lent to the fold while a live run is in flight.
     engines: Option<Box<HybridEngines>>,
     pub sink: ReportSink,
     /// Rendered guest fault, if the run ended with one.
     pub guest_fault: Option<String>,
-    live: Option<LiveRun>,
+    run: Run,
+}
+
+/// Where a live run's events go.
+enum Run {
+    /// Between runs.
+    Idle,
+    /// Folded on the VM thread against the live `VmView`: the host has
+    /// one CPU, or no thread could be started.
+    VmThread,
+    /// Queued for the analysis worker.
+    Worker(LiveRun),
 }
 
 /// The two engines hybrid detection runs over every event.
@@ -347,7 +358,7 @@ impl HybridDetector {
             engines: Some(Box::new(HybridEngines { lockset, hb })),
             sink,
             guest_fault: None,
-            live: None,
+            run: Run::Idle,
         }
     }
 
@@ -403,26 +414,29 @@ impl Tool for HybridDetector {
     // the dispatch that the single-engine arms share.
     #[inline(never)]
     fn on_event(&mut self, ev: &Event, vm: &VmView<'_>) {
-        if self.live.is_none() {
-            let fold = Fold {
+        if let Run::Idle = self.run {
+            let lend = || Fold {
                 engines: self.engines.take().expect("one live run at a time"),
                 sink: std::mem::take(&mut self.sink),
                 guest_fault: self.guest_fault.take(),
             };
-            self.live = Some(LiveRun::start(Box::new(fold), ReplayCtx::from_view(vm)));
+            self.run = LiveRun::start(lend, vm).map_or(Run::VmThread, Run::Worker);
         }
-        self.live.as_mut().expect("started above").push(ev, vm);
+        match &mut self.run {
+            Run::Worker(live) => live.push(ev, vm),
+            _ => self.handle_event(ev, vm),
+        }
     }
 
     fn on_guest_fault(&mut self, err: &GuestError, _vm: &VmView<'_>) {
-        match &mut self.live {
-            Some(live) => live.fault(err.to_string()),
-            None => self.guest_fault = Some(err.to_string()),
+        match &mut self.run {
+            Run::Worker(live) => live.fault(err.to_string()),
+            _ => self.guest_fault = Some(err.to_string()),
         }
     }
 
     fn on_finish(&mut self, _vm: &VmView<'_>) {
-        if let Some(live) = self.live.take() {
+        if let Run::Worker(live) = std::mem::replace(&mut self.run, Run::Idle) {
             let fold = live.finish();
             self.engines = Some(fold.engines);
             self.sink = fold.sink;

@@ -13,8 +13,9 @@
 //! The fold runs on a persistent analysis thread, one per calling thread,
 //! reused by every run that thread starts. Chunks travel over a bounded
 //! channel and come back emptied, so a run allocates no buffers once the
-//! pool is warm. When the host has one CPU, the same fold runs on the VM
-//! thread, once per chunk.
+//! pool is warm. On a host with one CPU there is no core to overlap with,
+//! and [`LiveRun::start`] declines: the detector then folds each event on
+//! the VM thread against the live `VmView`, with no records at all.
 
 use std::cell::RefCell;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
@@ -87,13 +88,9 @@ thread_local! {
     static IDLE: RefCell<Option<Worker>> = const { RefCell::new(None) };
 }
 
-/// Whether runs fold on a worker: only when the host has a second CPU.
-fn use_worker() -> bool {
+/// Whether the host has a second CPU for the fold to run on.
+fn multi_cpu() -> bool {
     static MULTI: OnceLock<bool> = OnceLock::new();
-    #[cfg(test)]
-    if tests::FOLD_INLINE.get() {
-        return false;
-    }
     *MULTI.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
 }
 
@@ -207,33 +204,25 @@ fn serve(jobs: Receiver<Job>, replies: Sender<Reply>) {
     }
 }
 
-enum Target {
-    /// Fold on the VM thread, once per chunk.
-    Inline(Box<Fold>, ReplayCtx),
-    Worker(Worker),
-}
-
 /// The VM-thread half of one live hybrid run.
 pub(crate) struct LiveRun {
     mirror: StackMirror,
     chunk: Vec<TraceRecord>,
-    target: Target,
+    worker: Worker,
 }
 
 impl LiveRun {
-    /// Start a run on the calling thread's worker; inline when the host
-    /// has one CPU or no thread can be started.
-    pub(crate) fn start(fold: Box<Fold>, ctx: ReplayCtx) -> LiveRun {
-        let worker = if use_worker() { Worker::acquire() } else { None };
-        let (target, chunk) = match worker {
-            Some(mut w) => {
-                w.send(Job::Start(fold, ctx));
-                let chunk = w.chunk();
-                (Target::Worker(w), chunk)
-            }
-            None => (Target::Inline(fold, ctx), Vec::with_capacity(CHUNK)),
-        };
-        LiveRun { mirror: StackMirror::new(), chunk, target }
+    /// Start a run on the calling thread's worker with the fold `lend`
+    /// builds and the context `vm` shows now. `None`, without calling
+    /// `lend`, when the host has one CPU or no thread can be started.
+    pub(crate) fn start(lend: impl FnOnce() -> Fold, vm: &VmView<'_>) -> Option<LiveRun> {
+        if !multi_cpu() {
+            return None;
+        }
+        let mut worker = Worker::acquire()?;
+        worker.send(Job::Start(Box::new(lend()), ReplayCtx::from_view(vm)));
+        let chunk = worker.chunk();
+        Some(LiveRun { mirror: StackMirror::new(), chunk, worker })
     }
 
     /// Queue `ev` behind the stack deltas a reader applies before it.
@@ -246,40 +235,25 @@ impl LiveRun {
         }
     }
 
-    /// Hand the current chunk, if any, to the fold.
+    /// Hand the current chunk, if any, to the worker.
     fn ship(&mut self) {
-        if self.chunk.is_empty() {
-            return;
-        }
-        match &mut self.target {
-            Target::Inline(fold, ctx) => {
-                fold.fold(ctx, &self.chunk);
-                self.chunk.clear();
-            }
-            Target::Worker(w) => {
-                let next = w.chunk();
-                w.send(Job::Chunk(std::mem::replace(&mut self.chunk, next)));
-            }
+        if !self.chunk.is_empty() {
+            let next = self.worker.chunk();
+            self.worker.send(Job::Chunk(std::mem::replace(&mut self.chunk, next)));
         }
     }
 
     /// A guest fault, delivered after every event before it.
     pub(crate) fn fault(&mut self, err: String) {
         self.ship();
-        match &mut self.target {
-            Target::Inline(fold, _) => fold.guest_fault = Some(err),
-            Target::Worker(w) => w.send(Job::Fault(err)),
-        }
+        self.worker.send(Job::Fault(err));
     }
 
     /// Fold what is left and hand the analysis back; a panic in the
     /// worker resumes here, on the VM thread.
     pub(crate) fn finish(mut self) -> Box<Fold> {
         self.ship();
-        match self.target {
-            Target::Inline(fold, _) => fold,
-            Target::Worker(w) => w.finish(self.chunk),
-        }
+        self.worker.finish(self.chunk)
     }
 }
 
@@ -289,10 +263,8 @@ mod tests {
     use crate::config::DetectorConfig;
     use crate::detector::HybridDetector;
     use crate::report::ReportCtx;
-    use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use vexec::event::ClientEv;
-    use vexec::faults::FaultPlan;
     use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
     use vexec::ir::lower::FlatProgram;
     use vexec::ir::{ClientOp, Expr};
@@ -300,13 +272,8 @@ mod tests {
     use vexec::vm::{run_flat, VmOptions};
 
     /// A client label with this text makes the fold panic: the way the
-    /// tests below put a panic on the analysis thread.
+    /// test below puts a panic on the analysis thread.
     pub(super) const PANIC_LABEL: &str = "panic-in-fold";
-
-    thread_local! {
-        /// Fold this thread's runs inline, as a one-CPU host does.
-        pub(super) static FOLD_INLINE: Cell<bool> = const { Cell::new(false) };
-    }
 
     pub(super) fn panic_on_marker(ev: &Event, ctx: &ReplayCtx) {
         if let Event::Client { req: ClientEv::Label(sym), .. } = ev {
@@ -353,15 +320,12 @@ mod tests {
     }
 
     /// Everything a caller reads of one run's detector.
-    fn run(flat: &FlatProgram, cfg: DetectorConfig, opts: &VmOptions, inline: bool) -> String {
-        FOLD_INLINE.set(inline);
+    fn run(flat: &FlatProgram, cfg: DetectorConfig) -> String {
         let mut det = HybridDetector::new(cfg);
-        let r = run_flat(flat, &mut det, &mut SeededRandom::new(9), opts.clone());
-        FOLD_INLINE.set(false);
+        let r = run_flat(flat, &mut det, &mut SeededRandom::new(9), VmOptions::default());
         let mut out = format!(
-            "{:?}\n{:?}\ntruncated {} fault {:?}\n{:?}\n",
+            "{:?}\ntruncated {} fault {:?}\n{:?}\n",
             r.termination,
-            r.faults,
             det.truncated(),
             det.guest_fault,
             det.engine_stats()
@@ -373,42 +337,17 @@ mod tests {
     }
 
     #[test]
-    fn inline_and_threaded_folds_agree() {
-        let flat = program(1500, false);
-        let plans = [
-            None,
-            Some(FaultPlan { seed: 3, kill_permille: 2, max_kills: 1, ..FaultPlan::disabled() }),
-            Some(FaultPlan { seed: 5, lockfail_permille: 50, ..FaultPlan::disabled() }),
-        ];
-        let mut ends = String::new();
-        for cfg in [DetectorConfig::hybrid(), DetectorConfig::hybrid_queue_hb()] {
-            for faults in plans {
-                let opts = VmOptions { faults, ..VmOptions::default() };
-                let threaded = run(&flat, cfg, &opts, false);
-                assert_eq!(run(&flat, cfg, &opts, true), threaded, "{faults:?}");
-                assert!(threaded.contains("Possible"), "{threaded}");
-                ends.push_str(&threaded);
-            }
-        }
-        assert!(ends.contains("kills: 1"), "a plan must kill a thread: {ends}");
-    }
-
-    #[test]
     fn a_panic_in_the_fold_reaches_the_caller_and_the_next_run_recovers() {
-        let opts = VmOptions::default();
         let clean = program(1500, false);
         let poisoned = program(1500, true);
         for cfg in [DetectorConfig::hybrid(), DetectorConfig::hybrid_queue_hb()] {
-            let reference = run(&clean, cfg, &opts, true);
-            for inline in [false, true] {
-                let caught = catch_unwind(AssertUnwindSafe(|| run(&poisoned, cfg, &opts, inline)));
-                FOLD_INLINE.set(false);
-                let payload = caught.expect_err("the fold's panic resumes on the VM thread");
-                let text = payload.downcast_ref::<String>().map(String::as_str);
-                assert_eq!(text, Some(PANIC_LABEL));
-                // The thread's next hybrid run gets a working fold again.
-                assert_eq!(run(&clean, cfg, &opts, inline), reference, "inline {inline}");
-            }
+            let reference = run(&clean, cfg);
+            assert!(reference.contains("Possible"), "{reference}");
+            let caught = catch_unwind(AssertUnwindSafe(|| run(&poisoned, cfg)));
+            let payload = caught.expect_err("the fold's panic resumes on the VM thread");
+            assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some(PANIC_LABEL));
+            // The thread's next hybrid run gets a working fold again.
+            assert_eq!(run(&clean, cfg), reference);
         }
     }
 }

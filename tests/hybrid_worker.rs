@@ -1,13 +1,12 @@
-//! The live hybrid detector folds its events off the VM thread: on an
-//! analysis worker, or inline once per chunk on a one-CPU host. Either
-//! way, the detector it leaves behind must read exactly like the
-//! VM-thread fold over the live `VmView`: the same reports, the same
-//! guest fault, the same truncation flags and engine counters. These
-//! tests compare the two for `hybrid` and `hybrid-queue` on T1–T8, under
-//! fault plans, on guest faults and under budgets, and pin the worker's
-//! lifecycle (reuse across runs, a detector dropped mid-run). The unit
-//! tests of the `live` module compare the inline fold with the threaded
-//! one and put a panic on the worker.
+//! On a host with a second CPU the live hybrid detector folds its events
+//! on an analysis worker. The detector it leaves behind must read exactly
+//! like the VM-thread fold over the live `VmView` (what a one-CPU host
+//! runs): the same reports, the same guest fault, the same truncation
+//! flags and engine counters. These tests compare the two for `hybrid`
+//! and `hybrid-queue` on T1–T8, under fault plans, on guest faults and
+//! under budgets, and pin the worker's lifecycle (reuse across runs, a
+//! detector dropped mid-run). The unit tests of the `live` module put a
+//! panic on the worker.
 
 mod golden;
 
