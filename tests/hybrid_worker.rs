@@ -152,7 +152,9 @@ fn t1_t8_paths_agree_under_faults_kills_and_deadlocks() {
 
 /// A program that runs past several chunks, races, and fails an
 /// assertion: the race right before the fault must be folded before the
-/// fault is, and the fault must come back with the detector.
+/// fault is, and the fault must come back with the detector. The racing
+/// store sits in a callee called from the line of the caller's last
+/// event, so only the top-frame rule moves the caller's frame there.
 fn racy_then_fault(spin: u64) -> FlatProgram {
     let mut pb = ProgramBuilder::new();
     let shared = pb.global("shared", 8);
@@ -162,18 +164,24 @@ fn racy_then_fault(spin: u64) -> FlatProgram {
     w.store(shared, 1u64, 8);
     let worker = pb.add_proc("worker", w);
 
+    let tloc = pb.loc("main.cpp", 30, "touch");
+    let mut t = ProcBuilder::new(0);
+    t.at(tloc);
+    t.store(shared, 2u64, 8);
+    let touch = pb.add_proc("touch", t);
+
     let mut m = ProcBuilder::new(0);
     let mloc = pb.loc("main.cpp", 10, "main");
     m.at(mloc);
     m.spawn(worker, vec![]);
+    let sloc = pb.loc("main.cpp", 14, "main");
+    m.at(sloc);
     m.begin_repeat(spin);
     let cell = m.alloc(8u64);
     m.store(Expr::Reg(cell), 7u64, 8);
     m.free(Expr::Reg(cell));
     m.end_repeat();
-    let rloc = pb.loc("main.cpp", 20, "main");
-    m.at(rloc);
-    m.store(shared, 2u64, 8);
+    m.call(touch, vec![], None);
     m.assert_eq(1u64, 2u64, "invariant broken");
     let main = pb.add_proc("main", m);
     pb.set_entry(main);
@@ -188,7 +196,8 @@ fn a_guest_fault_arrives_after_every_event_before_it() {
         let out = assert_paths_agree(name, cfg, &flat, &VmOptions::default(), None);
         assert!(out.contains("GuestError"), "{out}");
         assert!(out.contains("assertion failed: invariant broken"), "{out}");
-        assert!(out.contains("main.cpp:20"), "the race just before the fault: {out}");
+        assert!(out.contains("main.cpp:30"), "the race just before the fault: {out}");
+        assert!(out.contains("by main (main.cpp:14)"), "the caller's frame: {out}");
     }
 }
 
