@@ -39,5 +39,4 @@ pub use format::{
     TraceRecord, TraceTermination, TraceWait, MAGIC, VERSION,
 };
 pub use reader::{decode_epoch, parse_trace, EpochDesc, ParsedTrace, TraceReader};
-pub use stack::StackMirror;
 pub use writer::{trace_termination, TraceSummary, TraceWriter, DEFAULT_EPOCH_EVENTS};

@@ -4,10 +4,7 @@
 
 use proptest::prelude::*;
 
-use raceline_trace::format::{
-    decode_record, encode_event, encode_stack_pop, encode_stack_push, CodecState, Cursor,
-    TraceRecord,
-};
+use raceline_trace::format::{decode_record, encode_record, CodecState, Cursor, TraceRecord};
 use vexec::event::{AccessKind, AcqMode, ClientEv, Event, SyncId, ThreadId};
 use vexec::ir::{SrcLoc, SyncKind};
 use vexec::util::Symbol;
@@ -147,13 +144,7 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
 fn encode_records(records: &[TraceRecord], state: &mut CodecState) -> Vec<u8> {
     let mut out = Vec::new();
     for rec in records {
-        match *rec {
-            TraceRecord::Event(ref ev) => encode_event(&mut out, state, ev),
-            TraceRecord::StackPush { tid, func, loc } => {
-                encode_stack_push(&mut out, state, tid, func, loc)
-            }
-            TraceRecord::StackPop { tid, n } => encode_stack_pop(&mut out, tid, n),
-        }
+        encode_record(&mut out, state, rec);
     }
     out
 }
